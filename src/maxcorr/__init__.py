@@ -27,6 +27,7 @@ from .distributions import (
     copy_fixture,
     empirical_joint,
     feasible_member,
+    joint_from_arrays,
     joint_from_table,
     nonadditive_fixture,
     pairwise_from_dataset,
@@ -100,6 +101,7 @@ __all__ = [
     "hgr_binary",
     "hgr_svd",
     "is_additive",
+    "joint_from_arrays",
     "joint_from_table",
     "lsq_objective",
     "min_hgr_gaussian",

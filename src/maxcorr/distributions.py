@@ -85,6 +85,17 @@ class AlphabetSpec:
             raise LabelOutOfRange(f"labels {x} outside 0..{self.m - 1}")
         return sum(v * self.m**i for i, v in enumerate(x))
 
+    def encode_rows(self, labels) -> np.ndarray:
+        """State indices of an (n, p) label array, the vectorized :meth:`encode`."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.ndim != 2 or labels.shape[1] != self.p:
+            raise LabelOutOfRange(f"expected {self.p} labels per row, got shape {labels.shape}")
+        bad = ((labels < 0) | (labels >= self.m)).any(axis=1)
+        if bad.any():
+            x = tuple(int(v) for v in labels[np.argmax(bad)])
+            raise LabelOutOfRange(f"labels {x} outside 0..{self.m - 1}")
+        return labels @ self.m ** np.arange(self.p, dtype=np.int64)
+
     def decode(self, idx: int) -> tuple:
         if idx < 0 or idx >= self.n_states:
             raise LabelOutOfRange(f"state index {idx} outside 0..{self.n_states - 1}")
@@ -272,28 +283,46 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def joint_from_table(spec: AlphabetSpec, rows) -> DiscreteJoint:
-    """Build a joint from sparse ``(x_tuple, y, prob)`` triples.
+def joint_from_arrays(spec: AlphabetSpec, labels, y, prob) -> DiscreteJoint:
+    """Build a joint from parallel cell arrays: (n, p) feature labels, n
+    ``y`` labels and n probabilities.
 
     Unspecified cells default to zero; duplicate cells and out-of-range
     labels are rejected, and the entries must form a probability table.
     """
     spec.require_dense()
-    prob = np.zeros((spec.n_states, 2))
-    seen = set()
-    for x, y, value in rows:
-        y = int(y)
-        if y not in (0, 1):
-            raise LabelOutOfRange(f"y label {y} outside {{0, 1}}")
-        idx = spec.encode(x)
-        if (idx, y) in seen:
-            raise DuplicateEntry(f"cell (x={tuple(x)}, y={y}) specified twice")
-        seen.add((idx, y))
-        value = float(value)
-        if value < 0:
-            raise NegativeProbability(f"negative probability {value} at (x={tuple(x)}, y={y})")
-        prob[idx, y] = value
-    return DiscreteJoint(spec, prob)
+    y = np.asarray(y, dtype=np.int64)
+    prob = np.asarray(prob, dtype=float)
+    if y.ndim != 1 or prob.shape != y.shape or np.shape(labels)[:1] != y.shape:
+        raise ValidationError("labels, y and prob must describe the same number of cells")
+    bad_y = (y < 0) | (y > 1)
+    if bad_y.any():
+        raise LabelOutOfRange(f"y label {int(y[np.argmax(bad_y)])} outside {{0, 1}}")
+    cell = 2 * spec.encode_rows(labels) + y
+    counts = np.bincount(cell, minlength=spec.n_atoms)
+    if counts.max() > 1:
+        dup = int(np.argmax(counts > 1))
+        raise DuplicateEntry(f"cell (x={spec.decode(dup // 2)}, y={dup % 2}) specified twice")
+    negative = prob < 0
+    if negative.any():
+        k = int(np.argmax(negative))
+        x = spec.decode(int(cell[k]) // 2)
+        raise NegativeProbability(f"negative probability {prob[k]} at (x={x}, y={int(y[k])})")
+    table = np.zeros(spec.n_atoms)
+    table[cell] = prob
+    return DiscreteJoint(spec, table.reshape(spec.n_states, 2))
+
+
+def joint_from_table(spec: AlphabetSpec, rows) -> DiscreteJoint:
+    """Build a joint from sparse ``(x_tuple, y, prob)`` triples; the checks
+    are those of :func:`joint_from_arrays`."""
+    rows = list(rows)
+    xs, ys, values = zip(*rows) if rows else ((), (), ())
+    try:
+        labels = np.array(xs, dtype=np.int64).reshape(len(rows), spec.p)
+    except ValueError as exc:
+        raise LabelOutOfRange(f"every cell needs {spec.p} feature labels") from exc
+    return joint_from_arrays(spec, labels, ys, values)
 
 
 def _state_tensor(spec: AlphabetSpec, flat: np.ndarray) -> np.ndarray:
@@ -330,10 +359,7 @@ def empirical_joint(data: Dataset) -> DiscreteJoint:
     """Frequency table of a dataset as a joint distribution."""
     spec = data.spec
     spec.require_dense()
-    idx = np.zeros(data.n, dtype=np.int64)
-    for i in range(spec.p):
-        idx += data.rows[:, i] * spec.m**i
-    flat = idx * 2 + data.rows[:, spec.p]
+    flat = spec.encode_rows(data.rows[:, : spec.p]) * 2 + data.rows[:, spec.p]
     counts = np.bincount(flat, minlength=spec.n_atoms).astype(float)
     return DiscreteJoint(spec, (counts / data.n).reshape(spec.n_states, 2), tol=INTERNAL_TOL)
 
@@ -610,9 +636,7 @@ def permute_labels(joint: DiscreteJoint, feature: int, perm) -> DiscreteJoint:
     states = spec.states()
     new_states = states.copy()
     new_states[:, feature] = perm[states[:, feature]]
-    new_idx = np.zeros(spec.n_states, dtype=np.int64)
-    for i in range(spec.p):
-        new_idx += new_states[:, i] * spec.m**i
+    new_idx = spec.encode_rows(new_states)
     prob = np.zeros_like(joint.prob)
     prob[new_idx] = joint.prob
     return DiscreteJoint(spec, prob, tol=INTERNAL_TOL)

@@ -118,7 +118,9 @@ def hgr_svd(joint: GenericJoint) -> HgrResult:
     spy = np.sqrt(py[y_support])
     b = sub / np.outer(spx, spy)
     deflated = b - np.outer(spx, spy)
-    u, s, vt = np.linalg.svd(deflated)
+    # Only the top singular triple is read, so the thin SVD suffices; the
+    # full one would build an (n_x, n_x) U.
+    u, s, vt = np.linalg.svd(deflated, full_matrices=False)
 
     rho = float(s[0])
     if rho > 1.0:

@@ -9,6 +9,14 @@ Marginals JSON object with ``p``, ``m``, ``xx`` (map "i,j" -> m*m row-major,
 Moments JSON   object with ``mu`` (length p+1, Y last) and ``lambda``
                ((p+1)^2 row-major).
 
+CSV number syntax: fields are comma-separated, may be wrapped in double
+quotes and may carry spaces around them; empty lines are skipped.  Labels
+are decimal integers with an optional sign (``7``, ``+7``, ``-1``) that fit
+in 64 bits; ``1.5``, ``1e3`` and ``1_000`` are rejected.  Probabilities are
+decimal or exponent floats (``0.25``, ``.25``, ``2.5e-1``, ``nan``,
+``inf``); hex floats and digit separators are rejected.  Every data row
+must have as many fields as the header.
+
 Alphabet sizes are inferred from the data (max label + 1, at least 2) unless
 passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
 17-significant-digit floats for byte-stable reports.
@@ -18,90 +26,96 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 
-from .distributions import AlphabetSpec, Dataset, DiscreteJoint, PairwiseMarginalSet
+from .distributions import (
+    AlphabetSpec,
+    Dataset,
+    DiscreteJoint,
+    PairwiseMarginalSet,
+    joint_from_arrays,
+)
 from .errors import ValidationError
 from .gaussian import GaussianMoments
 from .hgr import GenericJoint
 
 
-def _parse_label(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {what} label {text!r}") from exc
+def _read_csv(path, header_ok, expected: str):
+    """Parse a CSV body in one numpy call: (int64 label block, float64
+    probability column or None).
 
-
-def _parse_prob(text: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad probability {text!r}") from exc
+    ``header_ok(fields)`` validates the stripped header fields.  When the
+    last one is ``prob`` that column is read as floats and every other
+    column as labels.
+    """
+    with open(path) as fh:
+        line = fh.readline()
+        if not line:
+            raise ValidationError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([line]), [])]
+        if not header_ok(header):
+            raise ValidationError(f"{path}: expected header {expected}")
+        with_prob = header[-1] == "prob"
+        n_labels = len(header) - with_prob
+        dtype = [("labels", np.int64, (n_labels,))]
+        if with_prob:
+            dtype.append(("prob", np.float64))
+        with warnings.catch_warnings():
+            # A header-only file is reported below as a ValidationError.
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            try:
+                cells = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+                )
+            except ValueError as exc:
+                reason = str(exc).split("; use `usecols`")[0]
+                raise ValidationError(f"{path}: {reason}") from exc
+    if cells.size == 0:
+        raise ValidationError(f"{path}: no data rows")
+    return cells["labels"], cells["prob"] if with_prob else None
 
 
 def read_joint_csv(path, m: int | None = None) -> DiscreteJoint:
     """Load a joint table; infers p from the header and m from the labels."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[-1] != "prob" or header[-2] != "y":
-            raise ValidationError(f"{path}: expected header x1,...,xp,y,prob")
-        p = len(header) - 2
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != p + 2:
-                raise ValidationError(f"{path}: row has {len(line)} fields, expected {p + 2}")
-            x = tuple(_parse_label(v, "feature") for v in line[:p])
-            y = _parse_label(line[p], "y")
-            rows.append((x, y, _parse_prob(line[p + 1])))
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
+    labels, prob = _read_csv(
+        path,
+        lambda h: len(h) >= 3 and h[-1] == "prob" and h[-2] == "y",
+        "x1,...,xp,y,prob",
+    )
+    p = labels.shape[1] - 1
+    x = labels[:, :p]
     if m is None:
-        m = max(2, 1 + max(max(x) for x, _, _ in rows))
-    from .distributions import joint_from_table
-
-    return joint_from_table(AlphabetSpec(p, m), rows)
+        m = max(2, 1 + int(x.max()))
+    return joint_from_arrays(AlphabetSpec(p, m), x, labels[:, p], prob)
 
 
 def write_joint_csv(joint: DiscreteJoint, path):
-    """Write every atom (including zeros) in state-index order."""
+    """Write every atom (including zeros) in state-index order.
+
+    Lines end in CRLF and probabilities carry 17 significant digits.
+    """
     spec = joint.spec
+    # Label prefixes of every state in index order, x_1 varying fastest.
+    labels = [str(k) for k in range(spec.m)]
+    for _ in range(spec.p - 1):
+        labels = [f"{prefix},{k}" for k in range(spec.m) for prefix in labels]
+    values = [format(v, ".17g") for v in joint.prob.ravel().tolist()]
+    header = ",".join([f"x{i + 1}" for i in range(spec.p)] + ["y", "prob"])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(spec.p)] + ["y", "prob"])
-        for idx in range(spec.n_states):
-            labels = spec.decode(idx)
-            for y in (0, 1):
-                writer.writerow(list(labels) + [y, format(joint.prob[idx, y], ".17g")])
+        fh.write(header + "\r\n")
+        fh.write(
+            "".join(
+                f"{x},0,{v0}\r\n{x},1,{v1}\r\n"
+                for x, v0, v1 in zip(labels, values[0::2], values[1::2])
+            )
+        )
 
 
 def read_dataset_csv(path, m: int | None = None) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "y":
-            raise ValidationError(f"{path}: expected header x1,...,xp,y")
-        p = len(header) - 1
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != p + 1:
-                raise ValidationError(f"{path}: row has {len(line)} fields, expected {p + 1}")
-            rows.append([_parse_label(v, "feature") for v in line[:p]] + [_parse_label(line[p], "y")])
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    rows = np.asarray(rows, dtype=int)
+    rows, _ = _read_csv(path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+    p = rows.shape[1] - 1
     if m is None:
         m = max(2, 1 + int(rows[:, :p].max()))
     return Dataset(AlphabetSpec(p, m), rows)
@@ -116,32 +130,19 @@ def write_dataset_csv(data: Dataset, path):
 
 def read_generic_csv(path) -> GenericJoint:
     """Unstructured two-alphabet joint from ``x,y,prob`` rows."""
-    cells = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "prob"]:
-            raise ValidationError(f"{path}: expected header x,y,prob")
-        for line in reader:
-            if not line:
-                continue
-            if len(line) != 3:
-                raise ValidationError(f"{path}: row has {len(line)} fields, expected 3")
-            x = _parse_label(line[0], "x")
-            y = _parse_label(line[1], "y")
-            if x < 0 or y < 0:
-                raise ValidationError(f"{path}: labels must be non-negative")
-            if (x, y) in cells:
-                raise ValidationError(f"{path}: cell ({x}, {y}) specified twice")
-            cells[(x, y)] = _parse_prob(line[2])
-    if not cells:
-        raise ValidationError(f"{path}: no data rows")
-    nx = 1 + max(x for x, _ in cells)
-    ny = 1 + max(y for _, y in cells)
-    prob = np.zeros((nx, ny))
-    for (x, y), v in cells.items():
-        prob[x, y] = v
-    return GenericJoint(prob)
+    labels, prob = _read_csv(path, lambda h: h == ["x", "y", "prob"], "x,y,prob")
+    if labels.min() < 0:
+        raise ValidationError(f"{path}: labels must be non-negative")
+    nx, ny = (int(v) + 1 for v in labels.max(axis=0))
+    # Allocated first: once the table fits, the flat cell index cannot overflow.
+    table = np.zeros(nx * ny)
+    cell = labels[:, 0] * ny + labels[:, 1]
+    counts = np.bincount(cell, minlength=nx * ny)
+    if counts.max() > 1:
+        dup = int(np.argmax(counts > 1))
+        raise ValidationError(f"{path}: cell ({dup // ny}, {dup % ny}) specified twice")
+    table[cell] = prob
+    return GenericJoint(table.reshape(nx, ny))
 
 
 def marginals_to_json_obj(marginals: PairwiseMarginalSet) -> dict:

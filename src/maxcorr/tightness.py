@@ -18,7 +18,10 @@ additive conditional mean 1/2 + z'w_x, and attains rho_lb.
 The decision is run as a small LP over the FULL minimizer set
 {z0 + N c : c free} (z0 the minimum-norm stationary point, N a null-space
 basis of Q), since the minimum-norm point alone may violate the bounds while
-another minimizer passes.
+another minimizer passes.  The block shifts 1_i - 1_j (all ones on block i,
+minus all ones on block j) always lie in null(Q) and leave both h(z) and
+h(-z) unchanged, so N is taken orthogonal to them: they would only give the
+LP flat rays, on which HiGHS can fail.
 """
 
 from __future__ import annotations
@@ -92,6 +95,25 @@ def h_value(z: np.ndarray, spec: AlphabetSpec) -> float:
     return float(z.reshape(spec.p, spec.m).max(axis=1).sum())
 
 
+def _without_block_shifts(basis: np.ndarray, spec: AlphabetSpec) -> np.ndarray:
+    """Orthonormal basis of span(basis) minus the block-shift directions.
+
+    The shifts 1_i - 1_j lie in null(Q); projecting them out leaves singular
+    values near 1 on the directions kept and near 0 on the shifts dropped.
+    """
+    p, m = spec.p, spec.m
+    if p < 2 or basis.shape[1] == 0:
+        return basis
+    shifts = np.zeros((spec.pm, p - 1))
+    shifts[:m] = 1.0
+    for i in range(1, p):
+        shifts[i * m : (i + 1) * m, i - 1] = -1.0
+    span, _ = np.linalg.qr(shifts)
+    rest = basis - span @ (span.T @ basis)
+    u, s, _ = np.linalg.svd(rest, full_matrices=False)
+    return u[:, s > 0.5]
+
+
 def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertificate:
     """Decide whether the lower bound is attained over the marginal class.
 
@@ -99,7 +121,8 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
                          t_i >= (z0 + N c) on block i,
                          s_i >= -(z0 + N c) on block i,
     over free (c, t, s, u); the optimum is min max(h(z), h(-z)) over all
-    quadratic minimizers z.
+    quadratic minimizers z.  N spans null(Q) minus the block shifts, along
+    which the objective is constant.
     """
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
@@ -107,7 +130,7 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
     p, m, pm = spec.p, spec.m, spec.pm
 
     z0 = minimum_norm_stationary(system)
-    basis = nullspace_basis(system.q)
+    basis = _without_block_shifts(nullspace_basis(system.q), spec)
     ndim = basis.shape[1]
     nv = ndim + 2 * p + 1  # variables: c, t, s, u
 

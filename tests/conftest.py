@@ -1,11 +1,14 @@
 """Shared test helpers: independent brute-force oracles."""
 
+import csv
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import maxcorr as mx
+from maxcorr.errors import DuplicateEntry, LabelOutOfRange, NegativeProbability, ValidationError
 
 
 @pytest.fixture
@@ -88,3 +91,174 @@ def quadratic_grid_oracle(system, z_base, direction, half_range=5.0, points=1000
         z = z_base + t * direction
         best = min(best, max(mx.h_value(z, spec), mx.h_value(-z, spec)))
     return best
+
+
+def boxed_tightness_lp(system, box=1e3):
+    """min over {z : 2Qz = d} of max(h(z), h(-z)), built independently of
+    :func:`maxcorr.check_tightness`.
+
+    z0 comes from dense least squares and the null space from a symmetric
+    eigendecomposition, kept whole (block shifts included).  The free
+    coefficients are boxed to [-box, box], so the flat block-shift rays
+    cannot make the LP unbounded, and the value is the objective evaluated
+    exactly at the LP's point.
+    """
+    spec = system.spec
+    p, m, pm = spec.p, spec.m, spec.pm
+    q, d = system.q, system.d
+    z0 = np.linalg.lstsq(2.0 * q, d, rcond=None)[0]
+    vals, vecs = np.linalg.eigh(q)
+    basis = vecs[:, vals <= 1e-10 * max(float(vals.max()), 0.0)]
+    k = basis.shape[1]
+    block = np.kron(np.eye(p), np.ones((m, 1)))
+    zeros = np.zeros((pm, p))
+    a_ub = np.vstack(
+        [
+            np.hstack([basis, -block, zeros, np.zeros((pm, 1))]),
+            np.hstack([-basis, zeros, -block, np.zeros((pm, 1))]),
+            np.hstack([np.zeros((1, k)), np.ones((1, p)), np.zeros((1, p)), -np.ones((1, 1))]),
+            np.hstack([np.zeros((1, k)), np.zeros((1, p)), np.ones((1, p)), -np.ones((1, 1))]),
+        ]
+    )
+    b_ub = np.concatenate([-z0, z0, [0.0, 0.0]])
+    c = np.zeros(k + 2 * p + 1)
+    c[-1] = 1.0
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(-box, box)] * k + [(None, None)] * (2 * p + 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    z = z0 + basis @ res.x[:k]
+    return max(mx.h_value(z, spec), mx.h_value(-z, spec))
+
+
+# ---------------------------------------------------------------------------
+# csv-module readers and writer: the row-by-row route the numpy parsers
+# replaced, kept as their parity oracle
+# ---------------------------------------------------------------------------
+
+
+def _legacy_label(text, what):
+    try:
+        return int(text)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what} label {text!r}") from exc
+
+
+def _legacy_prob(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad probability {text!r}") from exc
+
+
+def legacy_joint_from_table(spec, rows):
+    """Per-row joint builder: y range, label range, duplicate, sign checks."""
+    spec.require_dense()
+    prob = np.zeros((spec.n_states, 2))
+    seen = set()
+    for x, y, value in rows:
+        y = int(y)
+        if y not in (0, 1):
+            raise LabelOutOfRange(f"y label {y} outside {{0, 1}}")
+        idx = spec.encode(x)
+        if (idx, y) in seen:
+            raise DuplicateEntry(f"cell (x={tuple(x)}, y={y}) specified twice")
+        seen.add((idx, y))
+        value = float(value)
+        if value < 0:
+            raise NegativeProbability(f"negative probability {value}")
+        prob[idx, y] = value
+    return mx.DiscreteJoint(spec, prob)
+
+
+def legacy_read_joint_csv(path, m=None):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if len(header) < 3 or header[-1] != "prob" or header[-2] != "y":
+            raise ValidationError(f"{path}: expected header x1,...,xp,y,prob")
+        p = len(header) - 2
+        rows = []
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != p + 2:
+                raise ValidationError(f"{path}: row has {len(line)} fields, expected {p + 2}")
+            x = tuple(_legacy_label(v, "feature") for v in line[:p])
+            rows.append((x, _legacy_label(line[p], "y"), _legacy_prob(line[p + 1])))
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    if m is None:
+        m = max(2, 1 + max(max(x) for x, _, _ in rows))
+    return legacy_joint_from_table(mx.AlphabetSpec(p, m), rows)
+
+
+def legacy_write_joint_csv(joint, path):
+    spec = joint.spec
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(spec.p)] + ["y", "prob"])
+        for idx in range(spec.n_states):
+            labels = spec.decode(idx)
+            for y in (0, 1):
+                writer.writerow(list(labels) + [y, format(joint.prob[idx, y], ".17g")])
+
+
+def legacy_read_dataset_csv(path, m=None):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if len(header) < 2 or header[-1] != "y":
+            raise ValidationError(f"{path}: expected header x1,...,xp,y")
+        p = len(header) - 1
+        rows = []
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != p + 1:
+                raise ValidationError(f"{path}: row has {len(line)} fields, expected {p + 1}")
+            rows.append([_legacy_label(v, "feature") for v in line[:p]] + [_legacy_label(line[p], "y")])
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    rows = np.asarray(rows, dtype=int)
+    if m is None:
+        m = max(2, 1 + int(rows[:, :p].max()))
+    return mx.Dataset(mx.AlphabetSpec(p, m), rows)
+
+
+def legacy_read_generic_csv(path):
+    cells = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["x", "y", "prob"]:
+            raise ValidationError(f"{path}: expected header x,y,prob")
+        for line in reader:
+            if not line:
+                continue
+            if len(line) != 3:
+                raise ValidationError(f"{path}: row has {len(line)} fields, expected 3")
+            x = _legacy_label(line[0], "x")
+            y = _legacy_label(line[1], "y")
+            if x < 0 or y < 0:
+                raise ValidationError(f"{path}: labels must be non-negative")
+            if (x, y) in cells:
+                raise ValidationError(f"{path}: cell ({x}, {y}) specified twice")
+            cells[(x, y)] = _legacy_prob(line[2])
+    if not cells:
+        raise ValidationError(f"{path}: no data rows")
+    prob = np.zeros((1 + max(x for x, _ in cells), 1 + max(y for _, y in cells)))
+    for (x, y), v in cells.items():
+        prob[x, y] = v
+    return mx.GenericJoint(prob)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ class TestHgrSvd:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             GenericJoint(np.array([[0.5, 0.1], [0.1, 0.1]]))
+
+
+class TestHgrSvdAtSize:
+    def test_p10_m3_matches_correlation_ratio_in_bounded_memory(self):
+        """118,098 atoms: the thin SVD keeps U at (m^p, 2), where the full
+        one would ask for an (m^p, m^p) matrix of about 26 GiB."""
+        joint = mx.random_joint(mx.AlphabetSpec(10, 3), seed=7)
+        generic = mx.flatten_joint(joint)
+        tracemalloc.start()
+        try:
+            result = mx.hgr_svd(generic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rho == pytest.approx(mx.hgr_binary(joint), abs=1e-10)
+        assert peak < 64 * 2**20
 
 
 class TestHgrBinary:

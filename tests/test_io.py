@@ -2,10 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
-from maxcorr.errors import NotNormalized, ValidationError
+from maxcorr.errors import (
+    DuplicateEntry,
+    LabelOutOfRange,
+    NegativeProbability,
+    NotNormalized,
+    ValidationError,
+)
 from maxcorr.io import (
     dumps_canonical,
     marginals_from_json_obj,
@@ -18,6 +26,13 @@ from maxcorr.io import (
     write_dataset_csv,
     write_joint_csv,
     write_marginals_json,
+)
+
+from conftest import (
+    legacy_read_dataset_csv,
+    legacy_read_generic_csv,
+    legacy_read_joint_csv,
+    legacy_write_joint_csv,
 )
 
 
@@ -161,3 +176,179 @@ class TestCanonicalJson:
     def test_rejects_infinity(self):
         with pytest.raises(ValidationError):
             dumps_canonical([float("inf")])
+
+
+# ---------------------------------------------------------------------------
+# parity of the numpy parsers and writer with the csv-module route
+# ---------------------------------------------------------------------------
+
+
+def render(header, rows, rng, spaces, blank_lines, crlf):
+    """CSV text with optional spaces around fields, empty lines and CRLF."""
+    pad = (lambda f: f" {f} ") if spaces else str
+    lines = [",".join(header)] + [",".join(pad(f) for f in row) for row in rows]
+    if blank_lines:
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(1, len(lines) + 1)), "")
+    end = "\r\n" if crlf else "\n"
+    return end.join(lines) + end
+
+
+def parity(examples):
+    """Derandomized examples; each one rewrites the same file, so sharing
+    ``tmp_path`` between them is safe."""
+    return settings(
+        max_examples=examples,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+layout = dict(spaces=st.booleans(), blank_lines=st.booleans(), crlf=st.booleans())
+FLOAT_FORMATS = (repr, lambda v: format(v, ".17g"), lambda v: format(v, ".12e"))
+
+
+@parity(80)
+@given(p=st.integers(1, 4), m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), **layout)
+def test_joint_reader_matches_csv_route(tmp_path, p, m, seed, spaces, blank_lines, crlf):
+    rng = np.random.default_rng(seed)
+    spec = mx.AlphabetSpec(p, m)
+    n_cells = int(rng.integers(1, spec.n_atoms + 1))  # one row up to every atom
+    cells = rng.choice(spec.n_atoms, size=n_cells, replace=False)  # shuffled, some missing
+    values = rng.dirichlet(np.ones(n_cells)).tolist()
+    fmt = FLOAT_FORMATS[int(rng.integers(len(FLOAT_FORMATS)))]
+    rows = [
+        [*map(str, spec.decode(int(c) // 2)), str(int(c) % 2), fmt(v)] for c, v in zip(cells, values)
+    ]
+    header = [f"x{i + 1}" for i in range(p)] + ["y", "prob"]
+    path = tmp_path / "joint.csv"
+    path.write_text(render(header, rows, rng, spaces, blank_lines, crlf))
+    got, want = read_joint_csv(path), legacy_read_joint_csv(path)
+    assert got.spec == want.spec
+    assert np.array_equal(got.prob, want.prob)
+
+
+@parity(60)
+@given(p=st.integers(1, 5), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), **layout)
+def test_dataset_reader_matches_csv_route(tmp_path, p, n, seed, spaces, blank_lines, crlf):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    rows = np.column_stack([rng.integers(0, m, size=(n, p)), rng.integers(0, 2, size=n)])
+    header = [f"x{i + 1}" for i in range(p)] + ["y"]
+    path = tmp_path / "data.csv"
+    path.write_text(render(header, rows.astype(str).tolist(), rng, spaces, blank_lines, crlf))
+    got, want = read_dataset_csv(path), legacy_read_dataset_csv(path)
+    assert got.spec == want.spec
+    assert got.rows.dtype == want.rows.dtype
+    assert np.array_equal(got.rows, want.rows)
+
+
+@parity(60)
+@given(nx=st.integers(1, 6), ny=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), **layout)
+def test_generic_reader_matches_csv_route(tmp_path, nx, ny, seed, spaces, blank_lines, crlf):
+    rng = np.random.default_rng(seed)
+    n_cells = int(rng.integers(1, nx * ny + 1))
+    cells = rng.choice(nx * ny, size=n_cells, replace=False)
+    values = rng.dirichlet(np.ones(n_cells)).tolist()
+    rows = [[str(int(c) // ny), str(int(c) % ny), repr(v)] for c, v in zip(cells, values)]
+    path = tmp_path / "generic.csv"
+    path.write_text(render(["x", "y", "prob"], rows, rng, spaces, blank_lines, crlf))
+    got, want = read_generic_csv(path), legacy_read_generic_csv(path)
+    assert np.array_equal(got.prob, want.prob)
+
+
+READERS = {
+    "joint": (read_joint_csv, legacy_read_joint_csv),
+    "dataset": (read_dataset_csv, legacy_read_dataset_csv),
+    "generic": (read_generic_csv, legacy_read_generic_csv),
+}
+
+EDGE_CASES = [
+    ("joint", "one data row", "x1,y,prob\n1,1,1\n"),
+    ("joint", "spaces and blank lines", "x1 , y , prob\n\n 0 , 0 , 0.25 \n\n1,1,0.75\n\n"),
+    ("joint", "quoted fields", '"x1","y","prob"\n"0",0,"0.5"\n1,1,0.5\n'),
+    ("joint", "signs and exponents", "x1,y,prob\n+1,1,5e-1\n0,0,.5\n"),
+    ("dataset", "one data row", "x1,y\n0,1\n"),
+    ("generic", "one data row", "x,y,prob\n0,0,1\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,text", [(k, t) for k, _, t in EDGE_CASES], ids=[f"{k}-{d}" for k, d, _ in EDGE_CASES]
+)
+def test_edge_layouts_match_csv_route(tmp_path, kind, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    read, legacy = READERS[kind]
+    got, want = read(path), legacy(path)
+    field = "rows" if kind == "dataset" else "prob"
+    assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+MALFORMED = [
+    ("joint", "ragged row", "x1,y,prob\n0,0,0.5\n1,1\n", ValidationError),
+    ("joint", "extra field", "x1,y,prob\n0,0,0.5\n1,1,0.5,0\n", ValidationError),
+    ("joint", "label 1.5", "x1,y,prob\n1.5,0,0.5\n0,1,0.5\n", ValidationError),
+    ("joint", "label a", "x1,y,prob\na,0,0.5\n0,1,0.5\n", ValidationError),
+    ("joint", "probability x", "x1,y,prob\n0,0,x\n1,1,0.5\n", ValidationError),
+    ("joint", "empty probability", "x1,y,prob\n0,0,\n1,1,1\n", ValidationError),
+    ("joint", "duplicate cell", "x1,y,prob\n0,0,0.5\n0,0,0.5\n", DuplicateEntry),
+    ("joint", "y=2", "x1,y,prob\n0,2,0.5\n1,1,0.5\n", LabelOutOfRange),
+    ("joint", "negative label", "x1,y,prob\n-1,0,0.5\n1,1,0.5\n", LabelOutOfRange),
+    ("joint", "negative probability", "x1,y,prob\n0,0,-0.5\n1,1,1.5\n", NegativeProbability),
+    ("joint", "not normalized", "x1,y,prob\n0,0,0.5\n1,1,0.4\n", NotNormalized),
+    ("joint", "non-finite probability", "x1,y,prob\n0,0,nan\n1,1,1\n", ValidationError),
+    ("joint", "comment line", "x1,y,prob\n# note\n0,0,0.5\n1,1,0.5\n", ValidationError),
+    ("joint", "bad header", "a,b,c\n0,0,1\n", ValidationError),
+    ("joint", "header only", "x1,y,prob\n", ValidationError),
+    ("joint", "empty file", "", ValidationError),
+    ("dataset", "ragged row", "x1,x2,y\n0,1,0\n1,1\n", ValidationError),
+    ("dataset", "label 1.5", "x1,y\n1.5,0\n", ValidationError),
+    ("dataset", "label a", "x1,y\na,0\n", ValidationError),
+    ("dataset", "y=2", "x1,y\n0,2\n", LabelOutOfRange),
+    ("dataset", "negative label", "x1,y\n-1,0\n", LabelOutOfRange),
+    ("dataset", "header only", "x1,y\n", ValidationError),
+    ("generic", "ragged row", "x,y,prob\n0,0,0.5\n1,1\n", ValidationError),
+    ("generic", "label 1.5", "x,y,prob\n1.5,0,0.5\n0,1,0.5\n", ValidationError),
+    ("generic", "label a", "x,y,prob\na,0,0.5\n0,1,0.5\n", ValidationError),
+    ("generic", "probability x", "x,y,prob\n0,0,x\n0,1,0.5\n", ValidationError),
+    ("generic", "duplicate cell", "x,y,prob\n0,0,0.5\n0,0,0.5\n", ValidationError),
+    ("generic", "negative label", "x,y,prob\n-1,0,0.5\n0,1,0.5\n", ValidationError),
+    ("generic", "negative probability", "x,y,prob\n0,0,-0.5\n0,1,1.5\n", ValidationError),
+    ("generic", "header only", "x,y,prob\n", ValidationError),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,text,error", [(k, t, e) for k, _, t, e in MALFORMED], ids=[f"{k}-{d}" for k, d, _, _ in MALFORMED]
+)
+def test_malformed_input_raises_the_csv_route_class(tmp_path, kind, text, error):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    read, legacy = READERS[kind]
+    with pytest.raises(ValidationError) as want:
+        legacy(path)
+    with pytest.raises(ValidationError) as got:
+        read(path)
+    assert type(got.value) is type(want.value) is error
+
+
+@parity(40)
+@given(
+    p=st.integers(1, 4),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 0.9),
+)
+def test_joint_writer_bytes_match_csv_route(tmp_path, p, m, seed, zeros):
+    rng = np.random.default_rng(seed)
+    spec = mx.AlphabetSpec(p, m)
+    prob = rng.dirichlet(np.ones(spec.n_atoms))
+    prob[rng.uniform(size=spec.n_atoms) < zeros] = 0.0
+    if prob.sum() == 0.0:
+        prob[0] = 1.0
+    joint = mx.DiscreteJoint(spec, (prob / prob.sum()).reshape(spec.n_states, 2))
+    write_joint_csv(joint, tmp_path / "new.csv")
+    legacy_write_joint_csv(joint, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

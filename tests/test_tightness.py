@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
@@ -12,7 +16,11 @@ from maxcorr.errors import (
     NotStationary,
 )
 
-from conftest import quadratic_grid_oracle
+from maxcorr.io import read_marginals_json
+
+from conftest import boxed_tightness_lp, quadratic_grid_oracle
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def system_of(joint):
@@ -280,3 +288,75 @@ class TestNearUniformProbe:
     def test_invalid_radius(self):
         with pytest.raises(InvalidEpsilon):
             mx.near_uniform_probe(mx.AlphabetSpec(2, 2), eps=-1.0, trials=5, seed=0)
+
+
+def degenerate_joint(p, m, kind, seed, additive):
+    """A joint with nullity(Q) > p - 1: the last label of one feature
+    (``zero_label``) or of two features (``zero_labels``) never occurs, one
+    feature copies another (``copy``), or most X-states have probability
+    zero (``sparse``)."""
+    spec = mx.AlphabetSpec(p, m)
+    base = mx.additive_fixture(spec, seed) if additive else mx.random_joint(spec, seed)
+    rng = np.random.default_rng(seed)
+    states = spec.states()
+    prob = np.array(base.prob)
+    if kind.startswith("zero_label"):
+        for i in rng.choice(p, size=2 if kind == "zero_labels" else 1, replace=False):
+            prob[states[:, i] == m - 1] = 0.0
+    elif kind == "sparse":
+        keep = rng.uniform(size=spec.n_states) < 0.3
+        keep[rng.choice(spec.n_states, size=2, replace=False)] = True  # both y values occur
+        prob[~keep] = 0.0
+    else:
+        i, j = rng.choice(p, size=2, replace=False)
+        prob[states[:, i] != states[:, j]] = 0.0
+    return mx.DiscreteJoint(spec, prob / prob.sum())
+
+
+class TestBlockShiftRays:
+    """The block shifts 1_i - 1_j lie in null(Q) and leave h(z), h(-z)
+    unchanged; the LP must not see them as free rays."""
+
+    def test_copy_feature_set_solves(self):
+        # p=6, m=3, feature 6 a copy of feature 4, nullity(Q) = 7: HiGHS
+        # failed with status 4 while the block shifts stayed in the basis.
+        system = mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json"))
+        cert = mx.check_tightness(system)
+        oracle = boxed_tightness_lp(system)
+        assert cert.lp_value == pytest.approx(oracle, abs=1e-8)
+        assert cert.lp_value == pytest.approx(0.2631370964, abs=1e-9)
+        assert cert.verdict == "Tight"
+        assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
+
+    def test_not_tight_witness_keeps_h_values(self):
+        """A NotTight z_star may sit anywhere along the block shifts; the LP
+        value and both h values are what the certificate fixes."""
+        cert = mx.check_tightness(system_of(mx.nonadditive_fixture()))
+        assert cert.verdict == "NotTight"
+        assert cert.lp_value == pytest.approx(0.6, abs=1e-9)
+        assert cert.h_pos == pytest.approx(0.6, abs=1e-9)
+        assert cert.h_neg == pytest.approx(0.4, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 41])
+    def test_keeps_every_other_null_direction(self, seed):
+        """Sparse supports where the LP needs both null directions left once
+        the block shifts are out: dropping either one makes it NotTight."""
+        system = system_of(degenerate_joint(4, 2, "sparse", seed, additive=False))
+        cert = mx.check_tightness(system)
+        assert cert.verdict == "Tight"
+        assert cert.lp_value == pytest.approx(boxed_tightness_lp(system), abs=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(2, 6),
+        m=st.integers(2, 3),
+        kind=st.sampled_from(["zero_label", "zero_labels", "copy", "sparse"]),
+        seed=st.integers(0, 2**32 - 1),
+        additive=st.booleans(),
+    )
+    def test_matches_boxed_lp(self, p, m, kind, seed, additive):
+        system = system_of(degenerate_joint(p, m, kind, seed, additive))
+        cert = mx.check_tightness(system)
+        oracle = boxed_tightness_lp(system)
+        assert cert.verdict == ("Tight" if oracle <= 0.5 + cert.tol else "NotTight")
+        assert cert.lp_value == pytest.approx(oracle, abs=1e-8)
