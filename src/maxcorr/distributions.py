@@ -31,6 +31,7 @@ from .errors import (
     NotNormalized,
     ValidationError,
 )
+from .numerics import LinearProgram, solve_lp
 
 #: Tolerance for user-supplied tables (files, hand-built rows).
 INPUT_TOL = 1e-9
@@ -465,8 +466,6 @@ def feasible_member(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -> D
 
     Raises :class:`InconsistentMarginals` when the class is empty.
     """
-    from .numerics import LinearProgram, solve_lp
-
     spec = marginals.spec
     spec.require_dense()
     report = validate_marginals(marginals, tol=tol)

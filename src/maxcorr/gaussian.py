@@ -10,6 +10,9 @@ and the minimum has a closed form: with a the regression vector of Y on X
 For p = 1 this reduces to |corr(X, Y)|.  A discretized bivariate Gaussian
 serves as a numerical witness: its exact finite-alphabet maximal correlation
 must approach |rho| under grid refinement.
+
+``scipy.special`` is imported on the first call of the witness
+(:func:`discretize_bivariate_gaussian`), so the closed form loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, roots_legendre
 
 from .errors import DegenerateY, InconsistentMoments, InvalidRho, NotSymmetric, ValidationError
 from .hgr import GenericJoint
@@ -125,6 +127,8 @@ def discretize_bivariate_gaussian(
 
     Returns ``(joint, tail_mass)``.
     """
+    from scipy.special import ndtr, roots_legendre
+
     if not np.isfinite(rho) or abs(rho) >= 1.0:
         raise InvalidRho(f"rho must satisfy |rho| < 1, got {rho}")
     if grid_n < 16:

@@ -227,6 +227,20 @@ def read_moments_json(path) -> GaussianMoments:
 # ---------------------------------------------------------------------------
 
 
+#: Item types of a sequence that renders in one pass.
+_FLAT = {float, type(None)}
+
+
+def _render_flat(items) -> str:
+    """Items of Python floats and ``None`` in one join.  Same bytes as the
+    item-by-item route: ``.17g`` never yields ``nan`` or ``inf`` inside a
+    finite number, so both can be found in the joined text."""
+    text = ",".join(["null" if v is None else format(v, ".17g") for v in items])
+    if "inf" in text:
+        raise ValidationError("cannot serialize infinity")
+    return text.replace("nan", "null")
+
+
 def _render(obj, out: list):
     if obj is None:
         out.append("null")
@@ -256,6 +270,10 @@ def _render(obj, out: list):
             _render(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if isinstance(items, (list, tuple)) and set(map(type, items)) <= _FLAT:
+            out.append("[" + _render_flat(items) + "]")
+            return
         out.append("[")
         for idx, item in enumerate(obj):
             if idx:

@@ -46,13 +46,18 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QdSystem:
-    """Assembled quadratic system (Q, d) plus P(Y=1) and E[w]."""
+    """Assembled quadratic system (Q, d) plus P(Y=1) and E[w].
+
+    ``warnings`` carries the validation warnings of the marginals it was
+    assembled from (empty when assembled unchecked).
+    """
 
     spec: AlphabetSpec
     q: np.ndarray
     d: np.ndarray
     p_y1: float
     e_w: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         pm = self.spec.pm
@@ -95,12 +100,15 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
     Layout: block i covers indices i*m .. i*m + m - 1 and entry k within the
     block is label k.  Raises :class:`InconsistentMarginals` when the local
     validity screen fails or Q is not positive semidefinite (a necessary
-    condition for the marginals to be realizable).
+    condition for the marginals to be realizable).  The checked system
+    keeps the screen's warnings.
     """
+    warnings: tuple[str, ...] = ()
     if check:
         report = validate_marginals(marginals)
         if not report.ok:
             raise InconsistentMarginals("; ".join(report.violations))
+        warnings = report.warnings
 
     spec = marginals.spec
     p, m, pm = spec.p, spec.m, spec.pm
@@ -118,7 +126,7 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
             raise InconsistentMarginals(
                 f"Q has eigenvalue {min_eig:.3e} < 0; no joint realizes these marginals"
             )
-    return QdSystem(spec, q, d, p_y1, e_w)
+    return QdSystem(spec, q, d, p_y1, e_w, warnings)
 
 
 def _check_residual(system: QdSystem, z: np.ndarray):

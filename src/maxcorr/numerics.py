@@ -4,7 +4,8 @@ Thin, contract-checked wrappers over LAPACK (via numpy) and HiGHS (via
 scipy.optimize.linprog), plus a conjugate-gradient solve for consistent
 positive-semidefinite systems that serves as the iterative counterpart to
 pseudoinverse-based formulas.  Everything is double precision and
-deterministic under fixed inputs.
+deterministic under fixed inputs.  ``scipy.optimize`` is imported on the
+first :func:`solve_lp` call, so the other kernels load no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, LpFailure, NonFinite, NotSymmetric
 
@@ -159,6 +159,8 @@ def solve_lp(lp: LinearProgram) -> tuple[str, np.ndarray | None, float | None]:
     tightened feasibility tolerances keeps vertex solutions accurate to
     ~1e-12 at this scale, and is deterministic for fixed input.
     """
+    from scipy.optimize import linprog
+
     res = linprog(
         lp.objective,
         A_ub=lp.a_ub,

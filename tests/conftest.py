@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -262,3 +263,54 @@ def legacy_read_generic_csv(path):
     for (x, y), v in cells.items():
         prob[x, y] = v
     return mx.GenericJoint(prob)
+
+
+# ---------------------------------------------------------------------------
+# item-by-item canonical JSON: the recursive renderer the one-pass float
+# route replaced, kept as its parity oracle
+# ---------------------------------------------------------------------------
+
+
+def _legacy_render(obj, out):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if np.isnan(x):
+            out.append("null")
+        elif np.isinf(x):
+            raise ValidationError("cannot serialize infinity")
+        else:
+            out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for idx, key in enumerate(sorted(obj)):
+            if idx:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _legacy_render(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        out.append("[")
+        for idx, item in enumerate(obj):
+            if idx:
+                out.append(",")
+            _legacy_render(item, out)
+        out.append("]")
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+def legacy_dumps_canonical(obj):
+    out = []
+    _legacy_render(obj, out)
+    return "".join(out)

@@ -1,11 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import maxcorr as mx
+import maxcorr.cli
+import maxcorr.distributions
+import maxcorr.lowerbound
 from maxcorr.cli import main
-from maxcorr.io import write_dataset_csv, write_joint_csv, write_marginals_json
+from maxcorr.io import read_joint_csv, write_dataset_csv, write_joint_csv, write_marginals_json
 
 
 @pytest.fixture
@@ -29,6 +37,7 @@ def files(tmp_path):
     )
     write_joint_csv(degenerate, tmp_path / "degenerate.csv")
     (tmp_path / "garbage.csv").write_text("x1,y,prob\n0,0,not_a_number\n")
+    (tmp_path / "generic.csv").write_text("x,y,prob\n0,0,0.5\n1,1,0.25\n2,0,0.25\n")
     for name in (
         "nonadditive.csv",
         "copy.csv",
@@ -39,6 +48,7 @@ def files(tmp_path):
         "moments.json",
         "degenerate.csv",
         "garbage.csv",
+        "generic.csv",
     ):
         paths[name] = str(tmp_path / name)
     paths["out"] = str(tmp_path / "constructed.csv")
@@ -144,8 +154,6 @@ class TestConstruct:
         )
         assert code == 0
         assert report["results"]["marginal_match_max_err"] <= 1e-12
-        from maxcorr.io import read_joint_csv
-
         constructed = read_joint_csv(files["out"])
         assert np.abs(constructed.prob - mx.uniform_joint(mx.AlphabetSpec(2, 2)).prob).max() == 0
 
@@ -208,3 +216,173 @@ class TestDeterminism:
     def test_stdout_is_json_only(self, capsys, files):
         _, _, captured = run(capsys, ["check-tight", "--joint", files["nonadditive.csv"]])
         json.loads(captured.out)  # a single JSON document
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("command", ["lower-bound", "check-tight"])
+    def test_one_validation_per_op(self, capsys, files, monkeypatch, command):
+        calls = []
+        real = maxcorr.distributions.validate_marginals
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (maxcorr.distributions, maxcorr.lowerbound):
+            monkeypatch.setattr(module, "validate_marginals", counting)
+        monkeypatch.setattr(maxcorr.cli, "validate_marginals", counting, raising=False)
+        code, report, _ = run(capsys, [command, "--joint", files["nonadditive.csv"]])
+        assert code == 0 and report["warnings"] == []
+        assert len(calls) == 1
+
+    def test_inconsistent_marginals_keep_their_message(self, capsys, files, tmp_path):
+        obj = json.loads(Path(files["marginals.json"]).read_text())
+        obj["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        for command in ("lower-bound", "check-tight"):
+            code, report, captured = run(capsys, [command, "--marginals", str(path)])
+            assert code == 2 and report is None
+            assert captured.err.startswith("input error: px[0]: sums to 2.000000000000, not 1; ")
+
+
+# ---------------------------------------------------------------------------
+# the script entry point in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(mx.__file__).resolve().parents[1])
+
+
+def script_env():
+    """The environment of this pytest run with block-buffered standard streams,
+    so that a report lost in a buffer at exit shows."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_script(argv):
+    """``python -m maxcorr.cli``: (exit code, stdout, stderr), read through pipes."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxcorr.cli", *argv],
+        capture_output=True,
+        env=script_env(),
+        timeout=300,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def same_as_in_process(capsys, argv, out=None):
+    """Run ``argv`` in process and as a script; both must give the same
+    exit code, stdout, stderr and written file, which the script's run
+    leaves in place.  Returns the exit code and stdout."""
+    runs = []
+    for route in (lambda: run_in_process(capsys, argv), lambda: run_script(argv)):
+        if out is not None:
+            Path(out).unlink(missing_ok=True)
+        result = route()
+        written = Path(out).read_bytes() if out is not None and Path(out).exists() else None
+        runs.append((*result, written))
+    assert runs[1] == runs[0]
+    return runs[1][:2]
+
+
+SCRIPT_CASES = [
+    (["oracle", "--joint", "nonadditive.csv"], 0),
+    (["oracle", "--generic", "generic.csv"], 0),
+    (["lower-bound", "--joint", "nonadditive.csv"], 0),
+    (["lower-bound", "--marginals", "marginals.json"], 0),
+    (["lower-bound", "--data", "data.csv", "--tol", "1e-6"], 0),
+    (["check-tight", "--joint", "nonadditive.csv"], 0),
+    (["check-tight", "--joint", "copy.csv"], 0),
+    (["check-tight", "--marginals", "marginals.json"], 0),
+    (["construct", "--joint", "additive.csv", "--out", "out"], 0),
+    (["construct", "--joint", "nonadditive.csv", "--out", "out"], 4),
+    (["gaussian", "--moments", "moments.json"], 0),
+    (["probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01", "--trials", "5"], 0),
+    (["oracle", "--joint", "missing.csv"], 2),
+    (["oracle", "--joint", "garbage.csv"], 2),
+    (["oracle", "--nope"], 2),
+    (["lower-bound", "--joint", "degenerate.csv"], 3),
+]
+
+
+class TestScriptEntryPoint:
+    @pytest.mark.parametrize("argv, expected", SCRIPT_CASES)
+    def test_matches_in_process_main(self, capsys, files, argv, expected):
+        argv = [files.get(token, token) for token in argv]
+        out = files["out"] if "--out" in argv else None
+        assert same_as_in_process(capsys, argv, out)[0] == expected
+
+    def test_large_report_arrives_whole_through_a_pipe(self, capsys, tmp_path):
+        path = tmp_path / "joint.csv"
+        write_joint_csv(mx.random_joint(mx.AlphabetSpec(6, 4), seed=3), path)
+        code, out = same_as_in_process(capsys, ["oracle", "--joint", str(path)])
+        assert code == 0
+        assert len(json.loads(out)["results"]["f_star"]) == 4096
+
+    def test_written_csv_is_complete_after_exit(self, capsys, tmp_path):
+        path, out = tmp_path / "joint.csv", tmp_path / "built.csv"
+        joint = mx.additive_fixture(mx.AlphabetSpec(6, 4), seed=2)
+        write_joint_csv(joint, path)
+        argv = ["construct", "--joint", str(path), "--out", str(out)]
+        assert same_as_in_process(capsys, argv, out)[0] == 0
+        built = read_joint_csv(out)
+        assert built.prob.shape == (4096, 2)
+        assert np.abs(built.prob.sum() - 1.0) < 1e-12
+
+
+IMPORT_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import maxcorr, maxcorr.cli
+    seen = {"import": scipy_modules()}
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert maxcorr.cli.main(argv) == 0
+        seen[argv[0]] = scipy_modules()
+    maxcorr.discretize_bivariate_gaussian(0.5, grid_n=16)
+    seen["witness"] = scipy_modules()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert maxcorr.cli.main(json.loads(sys.argv[2])) == 0
+    seen["check-tight"] = scipy_modules()
+    print(json.dumps(seen))
+    """
+)
+
+
+def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
+    # A fresh interpreter: this pytest process has scipy loaded (conftest imports it).
+    no_scipy = [
+        ["oracle", "--joint", files["nonadditive.csv"]],
+        ["lower-bound", "--joint", files["nonadditive.csv"]],
+        ["gaussian", "--moments", files["moments.json"]],
+    ]
+    tight = ["check-tight", "--joint", files["nonadditive.csv"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(no_scipy), json.dumps(tight)],
+        capture_output=True,
+        text=True,
+        env=script_env(),
+        timeout=300,
+        check=True,
+    )
+    seen = json.loads(proc.stdout)
+    for stage in ("import", "oracle", "lower-bound", "gaussian"):
+        assert seen[stage] == [], stage
+    assert "scipy.special" in seen["witness"]
+    assert "scipy.optimize" in seen["check-tight"]

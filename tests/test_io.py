@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
@@ -29,6 +30,7 @@ from maxcorr.io import (
 )
 
 from conftest import (
+    legacy_dumps_canonical,
     legacy_read_dataset_csv,
     legacy_read_generic_csv,
     legacy_read_joint_csv,
@@ -176,6 +178,75 @@ class TestCanonicalJson:
     def test_rejects_infinity(self):
         with pytest.raises(ValidationError):
             dumps_canonical([float("inf")])
+
+    @pytest.mark.parametrize("inf", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda v: [0.5, v, None],
+            lambda v: (v,),
+            lambda v: np.array([[0.25, np.nan], [v, 1.0]]),
+            lambda v: {"a": [1, "s", v]},
+            lambda v: np.float64(v),
+        ],
+    )
+    def test_infinity_raises_on_both_routes(self, inf, wrap):
+        for dumps in (dumps_canonical, legacy_dumps_canonical):
+            with pytest.raises(ValidationError, match="cannot serialize infinity"):
+                dumps(wrap(inf))
+
+
+# ---------------------------------------------------------------------------
+# parity of the one-pass float renderer with the item-by-item route
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e-300, 1e300, 0.1, 1 / 3, 123456789.123456789,
+    float("nan"), float("inf"), float("-inf"),
+]  # fmt: skip
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+scalars = st.one_of(
+    floats,
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+arrays = st.one_of(
+    hnp.arrays(np.float64, shapes, elements=floats),
+    hnp.arrays(np.float32, shapes, elements=st.floats(width=32)),
+    hnp.arrays(np.int64, shapes),
+    hnp.arrays(np.bool_, shapes),
+)
+flat = st.lists(st.one_of(floats, st.none()), max_size=8)
+documents = st.recursive(
+    st.one_of(scalars, flat, flat.map(tuple), arrays),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def rendered(dumps, obj):
+    try:
+        return dumps(obj)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(documents)
+def test_dumps_canonical_matches_item_by_item_route(obj):
+    assert rendered(dumps_canonical, obj) == rendered(legacy_dumps_canonical, obj)
 
 
 # ---------------------------------------------------------------------------

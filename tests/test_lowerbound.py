@@ -82,6 +82,16 @@ class TestAssembleQd:
         with pytest.raises(InconsistentMarginals):
             mx.assemble_qd(marginals)
 
+    def test_checked_system_keeps_validation_warnings(self):
+        spec = mx.AlphabetSpec(1, 2)
+        joint = mx.joint_from_table(spec, [((0,), 0, 0.5), ((1,), 0, 0.5)])
+        marginals = mx.pairwise_from_joint(joint)
+        warnings = mx.validate_marginals(marginals).warnings
+        assert warnings and "degenerate target" in warnings[0]
+        assert mx.assemble_qd(marginals).warnings == warnings
+        assert mx.assemble_qd(marginals, check=False).warnings == ()
+        assert system_of(mx.nonadditive_fixture()).warnings == ()
+
 
 class TestGammaLowerBound:
     def test_independent_uniform_is_quarter(self):
