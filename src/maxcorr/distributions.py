@@ -233,6 +233,19 @@ class PairwiseMarginalSet:
         object.__setattr__(self, "xy", _freeze(xy))
         object.__setattr__(self, "px", _freeze(px))
 
+    def block_matrix(self) -> np.ndarray:
+        """The (pm, pm) matrix whose (i, j) block is :meth:`pair` ``(i, j)``,
+        the Q of the separable bound: entry (i*m + k, j*m + l) is
+        P(X_i = k, X_j = l)."""
+        p, m = self.spec.p, self.spec.m
+        blocks = np.zeros((p, p, m, m))
+        if p > 1:
+            i, j = np.nonzero(~np.eye(p, dtype=bool))  # row-major: the order of xx
+            blocks[i, j] = np.array(list(self.xx.values()))
+        labels = np.arange(m)
+        blocks[np.arange(p)[:, None], np.arange(p)[:, None], labels, labels] = self.px
+        return blocks.transpose(0, 2, 1, 3).reshape(p * m, p * m)
+
     def pair(self, i: int, j: int) -> np.ndarray:
         """mu^{ij} with the diagonal convention mu^{ii} = diag(P(X_i = .))."""
         if i == j:
@@ -413,45 +426,58 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
     Passing is necessary but NOT sufficient for the marginals to be realized
     by some joint distribution; exact membership in the marginal polytope is
     only decidable by :func:`feasible_member` at dense scale.
+
+    Each check runs as one reduction over all tables; messages are built
+    for the flagged tables only, in the order the checks are listed below.
     """
     spec = marginals.spec
-    p = spec.p
+    p, m = spec.p, spec.m
+    px, xy, xx = marginals.px, marginals.xy, marginals.xx
+    blocks = marginals.block_matrix().reshape(p, m, p, m).transpose(0, 2, 1, 3)
+    i_up, j_up = np.triu_indices(p, 1)
+    upper = blocks[i_up, j_up]  # xx[(i, j)] for i < j, in (i, j) order
+    lower = blocks[j_up, i_up]  # xx[(j, i)] for the same pairs
     violations = []
     warnings = []
 
-    def check_table(name, tab):
-        if tab.min() < -tol:
+    # Every table is a distribution: px[i] and xy[i] for each i, then
+    # xx[(i, j)] for i < j.  Entry 2i is px[i], 2i + 1 is xy[i], 2p + k is
+    # the k-th pair.
+    def per_table(reduce):
+        singles = np.column_stack([reduce(px), reduce(xy.reshape(p, 2 * m))]).reshape(-1)
+        return np.concatenate([singles, reduce(upper.reshape(-1, m * m))])
+
+    negative = per_table(lambda a: a.min(axis=1)) < -tol
+    off_sum = np.abs(per_table(lambda a: a.sum(axis=1)) - 1.0) > tol
+    for k in np.flatnonzero(negative | off_sum).tolist():
+        if k < 2 * p:
+            name, tab = f"{('px', 'xy')[k % 2]}[{k // 2}]", (px, xy)[k % 2][k // 2]
+        else:
+            i, j = int(i_up[k - 2 * p]), int(j_up[k - 2 * p])
+            name, tab = f"xx[{i},{j}]", xx[(i, j)]
+        if negative[k]:
             violations.append(f"{name}: negative entry {tab.min():.3e}")
-        if abs(tab.sum() - 1.0) > tol:
+        if off_sum[k]:
             violations.append(f"{name}: sums to {tab.sum():.12f}, not 1")
 
-    for i in range(p):
-        check_table(f"px[{i}]", marginals.px[i])
-        check_table(f"xy[{i}]", marginals.xy[i])
-    for (i, j), tab in marginals.xx.items():
-        if i < j:
-            check_table(f"xx[{i},{j}]", tab)
+    untransposed = ~(np.abs(upper - lower.transpose(0, 2, 1)) <= tol).all(axis=(1, 2))
+    for i, j in zip(i_up[untransposed].tolist(), j_up[untransposed].tolist()):
+        violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
 
-    for i in range(p):
-        for j in range(i + 1, p):
-            if not np.allclose(marginals.xx[(i, j)], marginals.xx[(j, i)].T, atol=tol, rtol=0):
-                violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
+    # Row sums of every table must reproduce the univariate marginals: for
+    # each i, xy[i] first, then xx[(i, j)] for j != i.  Column 0 of
+    # ``off_rows`` is xy[i] and column 1 + j is block (i, j); the diagonal
+    # blocks diag(px[i]) always pass.
+    rows = np.concatenate([xy.sum(axis=2)[:, None], blocks.sum(axis=3)], axis=1)
+    off_rows = ~(np.abs(rows - px[:, None, :]) <= tol).all(axis=2)
+    for i, c in zip(*(idx.tolist() for idx in np.nonzero(off_rows))):
+        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1}]"
+        violations.append(f"{table} row sums disagree with px[{i}]")
 
-    # Row/column sums of every table must reproduce the univariate marginals.
-    for i in range(p):
-        if not np.allclose(marginals.xy[i].sum(axis=1), marginals.px[i], atol=tol, rtol=0):
-            violations.append(f"xy[{i}] row sums disagree with px[{i}]")
-        for j in range(p):
-            if i == j:
-                continue
-            rows = marginals.xx[(i, j)].sum(axis=1)
-            if not np.allclose(rows, marginals.px[i], atol=tol, rtol=0):
-                violations.append(f"xx[{i},{j}] row sums disagree with px[{i}]")
-
-    py = marginals.xy.sum(axis=1)  # (p, 2)
-    for i in range(1, p):
-        if not np.allclose(py[i], py[0], atol=tol, rtol=0):
-            violations.append(f"xy[{i}] implies P(Y) = {py[i]} but xy[0] implies {py[0]}")
+    py = xy.sum(axis=1)  # (p, 2)
+    disagree = ~(np.abs(py[1:] - py[0]) <= tol).all(axis=1)
+    for i in (np.flatnonzero(disagree) + 1).tolist():
+        violations.append(f"xy[{i}] implies P(Y) = {py[i]} but xy[0] implies {py[0]}")
 
     p_y1 = float(py[0, 1])
     if p_y1 <= 0.0 or p_y1 >= 1.0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     DInconsistentWithQ,
     InconsistentMarginals,
 )
-from .numerics import RANK_TOL, cg_minimum_norm, pseudoinverse
+from .numerics import RANK_TOL, SvdResult, cg_minimum_norm, pseudoinverse, svd
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +50,9 @@ class QdSystem:
     """Assembled quadratic system (Q, d) plus P(Y=1) and E[w].
 
     ``warnings`` carries the validation warnings of the marginals it was
-    assembled from (empty when assembled unchecked).
+    assembled from (empty when assembled unchecked).  ``factor``, the thin
+    SVD of Q, is computed on first use and shared by the bound, the
+    minimum-norm minimizer and the null space of the tightness test.
     """
 
     spec: AlphabetSpec
@@ -63,6 +66,10 @@ class QdSystem:
         pm = self.spec.pm
         if self.q.shape != (pm, pm) or self.d.shape != (pm,) or self.e_w.shape != (pm,):
             raise DimensionMismatch("QdSystem arrays inconsistent with spec")
+
+    @cached_property
+    def factor(self) -> SvdResult:
+        return svd(self.q)
 
     @property
     def var_y(self) -> float:
@@ -111,11 +118,8 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
         warnings = report.warnings
 
     spec = marginals.spec
-    p, m, pm = spec.p, spec.m, spec.pm
-    q = np.zeros((pm, pm))
-    for i in range(p):
-        for j in range(p):
-            q[i * m : (i + 1) * m, j * m : (j + 1) * m] = marginals.pair(i, j)
+    pm = spec.pm
+    q = marginals.block_matrix()
     d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(pm)
     e_w = marginals.px.reshape(pm)
     p_y1 = float(marginals.p_y[1])
@@ -149,14 +153,14 @@ def _clamp_gamma(gamma: float) -> float:
 
 def minimum_norm_stationary(system: QdSystem, rank_tol: float = RANK_TOL) -> np.ndarray:
     """The minimum-norm solution of 2Qz = d, i.e. z = Q^+ d / 2."""
-    z = 0.5 * pseudoinverse(system.q, rank_tol) @ system.d
+    z = 0.5 * pseudoinverse(system.q, rank_tol, system.factor) @ system.d
     _check_residual(system, z)
     return z
 
 
 def gamma_lb_closed(system: QdSystem, rank_tol: float = RANK_TOL) -> float:
     """gamma via the pseudoinverse identity (1 - d'Q^+ d) / 4."""
-    u = pseudoinverse(system.q, rank_tol) @ system.d
+    u = pseudoinverse(system.q, rank_tol, system.factor) @ system.d
     dnorm = float(np.linalg.norm(system.d))
     resid = float(np.linalg.norm(system.q @ u - system.d))
     if dnorm > 0.0 and resid > RESIDUAL_TOL * dnorm:

@@ -53,11 +53,17 @@ def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def pseudoinverse(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, truncating relative to the top singular value."""
+def pseudoinverse(
+    a: np.ndarray, rank_tol: float = RANK_TOL, factor: SvdResult | None = None
+) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, truncating relative to the top singular value.
+
+    ``factor``, when given, must be :func:`svd` of ``a``; it is used in place
+    of factoring ``a`` again.
+    """
     if rank_tol <= 0:
         raise DimensionMismatch(f"rank_tol must be > 0, got {rank_tol}")
-    res = svd(a)
+    res = svd(a) if factor is None else factor
     r = numerical_rank(res.s, rank_tol)
     if r == 0:
         return np.zeros((a.shape[1], a.shape[0]))
@@ -66,10 +72,13 @@ def pseudoinverse(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (res.vt.T * inv) @ res.u.T
 
 
-def nullspace_basis(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def nullspace_basis(
+    a: np.ndarray, rank_tol: float = RANK_TOL, factor: SvdResult | None = None
+) -> np.ndarray:
     """Orthonormal basis of the null space of a symmetric PSD matrix.
 
     Returns an (n, n - rank) matrix; empty second dimension when full rank.
+    ``factor`` is as for :func:`pseudoinverse`; ``a`` is checked either way.
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a)
@@ -77,7 +86,7 @@ def nullspace_basis(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max())), rtol=0):
         raise NotSymmetric("matrix is not symmetric")
-    res = svd(a)
+    res = svd(a) if factor is None else factor
     r = numerical_rank(res.s, rank_tol)
     return res.vt[r:].T.copy()
 

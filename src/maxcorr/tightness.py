@@ -15,13 +15,20 @@ z yields the achieving joint directly:
 for any base Q in the class.  P* keeps the pairwise marginals, has the
 additive conditional mean 1/2 + z'w_x, and attains rho_lb.
 
-The decision is run as a small LP over the FULL minimizer set
-{z0 + N c : c free} (z0 the minimum-norm stationary point, N a null-space
-basis of Q), since the minimum-norm point alone may violate the bounds while
-another minimizer passes.  The block shifts 1_i - 1_j (all ones on block i,
-minus all ones on block j) always lie in null(Q) and leave both h(z) and
-h(-z) unchanged, so N is taken orthogonal to them: they would only give the
-LP flat rays, on which HiGHS can fail.
+The decision ranges over the FULL minimizer set {z0 + N c : c free} (z0
+the minimum-norm stationary point, N a null-space basis of Q), since the
+minimum-norm point alone may violate the bounds while another minimizer
+passes.  The block shifts 1_i - 1_j (all ones on block i, minus all ones on
+block j) always lie in null(Q) and leave both h(z) and h(-z) unchanged, so N
+is taken orthogonal to them.
+
+When the null space holds nothing but the block shifts, every minimizer has
+the same h values and the answer is max(h(z0), h(-z0)) in closed form.  That
+is the case for every class with full support, and then no LP is built and
+scipy is not imported.  Otherwise (a label of zero probability, a feature
+that copies another, a sparse support) a small LP over c decides; the shifts
+are left out of it because they would only give it flat rays, on which
+HiGHS can fail.  The SVD of Q behind z0 and N is the one the bound uses.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class TightnessCertificate:
     ``lp_value`` is min over the minimizer set of max(h(z), h(-z)); the
     verdict is Tight iff it is <= 1/2 + tol.  ``z_star`` is a feasible
     witness when Tight (the minimum-norm minimizer whenever it already
-    passes), otherwise the LP minimizer.
+    passes), otherwise a minimizer attaining ``lp_value``.
     """
 
     verdict: str
@@ -114,66 +121,75 @@ def _without_block_shifts(basis: np.ndarray, spec: AlphabetSpec) -> np.ndarray:
     return u[:, s > 0.5]
 
 
-def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertificate:
-    """Decide whether the lower bound is attained over the marginal class.
-
-    Solves  min u  s.t.  u >= sum_i t_i,  u >= sum_i s_i,
-                         t_i >= (z0 + N c) on block i,
-                         s_i >= -(z0 + N c) on block i,
-    over free (c, t, s, u); the optimum is min max(h(z), h(-z)) over all
-    quadratic minimizers z.  N spans null(Q) minus the block shifts, along
-    which the objective is constant.
-    """
-    if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
-        raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
-    spec = system.spec
-    p, m, pm = spec.p, spec.m, spec.pm
-
-    z0 = minimum_norm_stationary(system)
-    basis = _without_block_shifts(nullspace_basis(system.q), spec)
+def _minimize_h(
+    z0: np.ndarray, basis: np.ndarray, spec: AlphabetSpec
+) -> tuple[float, np.ndarray]:
+    """The LP  min u  s.t.  u >= sum_i t_i,  u >= sum_i s_i,
+                            t_i >= (z0 + N c) on block i,
+                            s_i >= -(z0 + N c) on block i,
+    over free (c, t, s, u), N = ``basis``: its optimum, min max(h(z), h(-z))
+    over z0 + span(N), and the minimizing z."""
+    p, pm = spec.p, spec.pm
     ndim = basis.shape[1]
     nv = ndim + 2 * p + 1  # variables: c, t, s, u
+    block = np.repeat(np.eye(p), spec.m, axis=0)  # (pm, p): entry (i*m + k, i) is 1
 
-    n_rows = 2 * pm + 2
-    a_ub = np.zeros((n_rows, nv))
-    b_ub = np.zeros(n_rows)
-    row = 0
-    for i in range(p):
-        for k in range(m):
-            idx = i * m + k
-            a_ub[row, :ndim] = basis[idx]
-            a_ub[row, ndim + i] = -1.0
-            b_ub[row] = -z0[idx]
-            row += 1
-            a_ub[row, :ndim] = -basis[idx]
-            a_ub[row, ndim + p + i] = -1.0
-            b_ub[row] = z0[idx]
-            row += 1
-    a_ub[row, ndim : ndim + p] = 1.0
-    a_ub[row, -1] = -1.0
-    row += 1
-    a_ub[row, ndim + p : ndim + 2 * p] = 1.0
-    a_ub[row, -1] = -1.0
+    # Rows alternate the t and s bounds of each entry of z, then the two u rows.
+    a_ub = np.zeros((2 * pm + 2, nv))
+    b_ub = np.zeros(2 * pm + 2)
+    a_ub[0 : 2 * pm : 2, :ndim] = basis
+    a_ub[0 : 2 * pm : 2, ndim : ndim + p] = -block
+    b_ub[0 : 2 * pm : 2] = -z0
+    a_ub[1 : 2 * pm : 2, :ndim] = -basis
+    a_ub[1 : 2 * pm : 2, ndim + p : ndim + 2 * p] = -block
+    b_ub[1 : 2 * pm : 2] = z0
+    a_ub[-2, ndim : ndim + p] = 1.0
+    a_ub[-1, ndim + p : ndim + 2 * p] = 1.0
+    a_ub[-2:, -1] = -1.0
 
     objective = np.zeros(nv)
     objective[-1] = 1.0
     status, point, value = solve_lp(LinearProgram(objective, a_ub=a_ub, b_ub=b_ub))
     if status != "Optimal":
         raise LpFailure(f"tightness LP ended with status {status}")
+    return float(value), z0 + basis @ point[:ndim]
 
-    lp_value = float(value)
-    z_lp = z0 + basis @ point[:ndim]
-    verdict = "Tight" if lp_value <= 0.5 + tol else "NotTight"
+
+def _certificate(
+    z0: np.ndarray, z_min: np.ndarray, value: float, spec: AlphabetSpec, tol: float
+) -> TightnessCertificate:
+    """The certificate for optimum ``value``, attained at ``z_min``."""
+    verdict = "Tight" if value <= 0.5 + tol else "NotTight"
     # Prefer the minimum-norm minimizer as the witness when it already passes.
-    z_star = z0 if max(h_value(z0, spec), h_value(-z0, spec)) <= 0.5 + tol else z_lp
+    z_star = z0 if max(h_value(z0, spec), h_value(-z0, spec)) <= 0.5 + tol else z_min
     return TightnessCertificate(
         verdict=verdict,
         z_star=z_star,
         h_pos=h_value(z_star, spec),
         h_neg=h_value(-z_star, spec),
-        lp_value=lp_value,
+        lp_value=value,
         tol=tol,
     )
+
+
+def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertificate:
+    """Decide whether the lower bound is attained over the marginal class.
+
+    The optimum min max(h(z), h(-z)) over all quadratic minimizers
+    z = z0 + N c is max(h(z0), h(-z0)) when N, the null space of Q minus
+    the block shifts, is empty, and the LP of :func:`_minimize_h` otherwise.
+    """
+    if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
+        raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
+    spec = system.spec
+    z0 = minimum_norm_stationary(system)
+    basis = _without_block_shifts(nullspace_basis(system.q, factor=system.factor), spec)
+    if basis.shape[1] == 0:
+        # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
+        value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0
+    else:
+        value, z_min = _minimize_h(z0, basis, spec)
+    return _certificate(z0, z_min, value, spec, tol)
 
 
 def is_additive(joint: DiscreteJoint, tol: float = TIGHT_TOL) -> AdditiveDecomposition:

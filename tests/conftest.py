@@ -9,7 +9,11 @@ import pytest
 from scipy.optimize import linprog
 
 import maxcorr as mx
+from maxcorr import tightness
+from maxcorr.distributions import INPUT_TOL
 from maxcorr.errors import DuplicateEntry, LabelOutOfRange, NegativeProbability, ValidationError
+from maxcorr.numerics import nullspace_basis
+from maxcorr.tightness import TIGHT_TOL
 
 
 @pytest.fixture
@@ -135,6 +139,69 @@ def boxed_tightness_lp(system, box=1e3):
     assert res.status == 0, res.message
     z = z0 + basis @ res.x[:k]
     return max(mx.h_value(z, spec), mx.h_value(-z, spec))
+
+
+def forced_lp_certificate(system, tol=TIGHT_TOL):
+    """:func:`maxcorr.check_tightness` with the LP run even where the closed
+    form applies: the same z0, null basis and certificate assembly, with
+    ``_minimize_h`` deciding over an empty or non-empty basis alike."""
+    spec = system.spec
+    z0 = mx.minimum_norm_stationary(system)
+    basis = tightness._without_block_shifts(nullspace_basis(system.q), spec)
+    value, z_min = tightness._minimize_h(z0, basis, spec)
+    return tightness._certificate(z0, z_min, value, spec, tol)
+
+
+# ---------------------------------------------------------------------------
+# table-by-table marginal validation: the loop the block reductions
+# replaced, kept as their parity oracle
+# ---------------------------------------------------------------------------
+
+
+def legacy_validate_marginals(marginals, tol=INPUT_TOL):
+    spec = marginals.spec
+    p = spec.p
+    violations = []
+    warnings = []
+
+    def check_table(name, tab):
+        if tab.min() < -tol:
+            violations.append(f"{name}: negative entry {tab.min():.3e}")
+        if abs(tab.sum() - 1.0) > tol:
+            violations.append(f"{name}: sums to {tab.sum():.12f}, not 1")
+
+    for i in range(p):
+        check_table(f"px[{i}]", marginals.px[i])
+        check_table(f"xy[{i}]", marginals.xy[i])
+    for (i, j), tab in marginals.xx.items():
+        if i < j:
+            check_table(f"xx[{i},{j}]", tab)
+
+    for i in range(p):
+        for j in range(i + 1, p):
+            if not np.allclose(marginals.xx[(i, j)], marginals.xx[(j, i)].T, atol=tol, rtol=0):
+                violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
+
+    for i in range(p):
+        if not np.allclose(marginals.xy[i].sum(axis=1), marginals.px[i], atol=tol, rtol=0):
+            violations.append(f"xy[{i}] row sums disagree with px[{i}]")
+        for j in range(p):
+            if i == j:
+                continue
+            rows = marginals.xx[(i, j)].sum(axis=1)
+            if not np.allclose(rows, marginals.px[i], atol=tol, rtol=0):
+                violations.append(f"xx[{i},{j}] row sums disagree with px[{i}]")
+
+    py = marginals.xy.sum(axis=1)
+    for i in range(1, p):
+        if not np.allclose(py[i], py[0], atol=tol, rtol=0):
+            violations.append(f"xy[{i}] implies P(Y) = {py[i]} but xy[0] implies {py[0]}")
+
+    p_y1 = float(py[0, 1])
+    if p_y1 <= 0.0 or p_y1 >= 1.0:
+        warnings.append(f"degenerate target: P(Y=1) = {p_y1}; correlation ops will reject this")
+
+    return mx.ValidationReport(tuple(violations), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

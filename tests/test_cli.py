@@ -355,11 +355,11 @@ IMPORT_PROBE = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()):
             assert maxcorr.cli.main(argv) == 0
         seen[argv[0]] = scipy_modules()
-    maxcorr.discretize_bivariate_gaussian(0.5, grid_n=16)
-    seen["witness"] = scipy_modules()
     with contextlib.redirect_stdout(io.StringIO()):
         assert maxcorr.cli.main(json.loads(sys.argv[2])) == 0
-    seen["check-tight"] = scipy_modules()
+    seen["lp"] = scipy_modules()
+    maxcorr.discretize_bivariate_gaussian(0.5, grid_n=16)
+    seen["witness"] = scipy_modules()
     print(json.dumps(seen))
     """
 )
@@ -367,14 +367,21 @@ IMPORT_PROBE = textwrap.dedent(
 
 def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
     # A fresh interpreter: this pytest process has scipy loaded (conftest imports it).
+    # Full-support inputs take the closed-form certificate; the copy-feature
+    # set has null directions beyond the block shifts and needs the LP.
     no_scipy = [
         ["oracle", "--joint", files["nonadditive.csv"]],
         ["lower-bound", "--joint", files["nonadditive.csv"]],
         ["gaussian", "--moments", files["moments.json"]],
+        ["check-tight", "--joint", files["nonadditive.csv"]],
+        ["check-tight", "--marginals", files["marginals.json"]],
+        ["construct", "--joint", files["additive.csv"], "--out", files["out"]],
+        ["probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01", "--trials", "5"],
     ]
-    tight = ["check-tight", "--joint", files["nonadditive.csv"]]
+    copy_feature = Path(__file__).parent / "data" / "copy_feature_p6_m3.json"
+    lp = ["check-tight", "--marginals", str(copy_feature)]
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(no_scipy), json.dumps(tight)],
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(no_scipy), json.dumps(lp)],
         capture_output=True,
         text=True,
         env=script_env(),
@@ -382,7 +389,7 @@ def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
         check=True,
     )
     seen = json.loads(proc.stdout)
-    for stage in ("import", "oracle", "lower-bound", "gaussian"):
+    for stage in ["import", *(argv[0] for argv in no_scipy)]:
         assert seen[stage] == [], stage
+    assert "scipy.optimize" in seen["lp"]
     assert "scipy.special" in seen["witness"]
-    assert "scipy.optimize" in seen["check-tight"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
@@ -15,6 +17,8 @@ from maxcorr.errors import (
     ValidationError,
 )
 from maxcorr.numerics import LinearProgram, solve_lp
+
+from conftest import legacy_validate_marginals
 
 
 class TestAlphabetSpec:
@@ -210,6 +214,76 @@ class TestValidateMarginals:
         report = mx.validate_marginals(mx.pairwise_from_joint(joint))
         assert report.ok
         assert any("degenerate" in w for w in report.warnings)
+
+
+BREAKS = ["negative", "sum", "transpose", "row_sum", "p_y", "degenerate"]
+
+
+def broken_marginals(p, m, seed, breaks, size):
+    """The marginals of a random joint with the listed faults put in, each
+    at a random place, by ``size`` (below or above the 1e-9 tolerance)."""
+    rng = np.random.default_rng(seed)
+    spec = mx.AlphabetSpec(p, m)
+    if "degenerate" in breaks:
+        prob = np.zeros((spec.n_states, 2))
+        prob[:, int(rng.integers(2))] = rng.dirichlet(np.ones(spec.n_states))
+        joint = mx.DiscreteJoint(spec, prob)
+    else:
+        joint = mx.random_joint(spec, seed)
+    marginals = mx.pairwise_from_joint(joint)
+    xx = dict(marginals.xx)  # frozen views, some of them transposed
+    xy, px = np.array(marginals.xy), np.array(marginals.px)
+    i, j = rng.choice(p, size=2, replace=p == 1)
+    k, l = rng.integers(m, size=2)
+    if "negative" in breaks:
+        target = [px[i], xy[i, :, 0]] + ([xx[(i, j)].copy()] if i != j else [])
+        tab = target[int(rng.integers(len(target)))]
+        tab.flat[int(rng.integers(tab.size))] = -size
+        if tab.ndim == 2:
+            xx[(i, j)] = tab
+    if "sum" in breaks:
+        px[i] *= 1.0 + size
+    if "transpose" in breaks and i != j:
+        tab = xx[(i, j)].copy()
+        tab[k, l] += size
+        xx[(i, j)] = tab
+    if "row_sum" in breaks:  # mass moves within px[i]; its sum holds
+        px[i, k] += size
+        px[i, (k + 1) % m] -= size
+    if "p_y" in breaks:
+        xy[i, k] += [size, -size]
+    return mx.PairwiseMarginalSet(spec, xx, xy, px)
+
+
+class TestValidateParity:
+    """The block reductions give the report of the table-by-table loop:
+    same violations, same messages, same order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 5),
+        m=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        breaks=st.sets(st.sampled_from(BREAKS)),
+        size=st.sampled_from([1e-11, 9e-10, 1.5e-9, 1e-8, 0.05, 0.3]),
+    )
+    def test_matches_the_loop(self, p, m, seed, breaks, size):
+        marginals = broken_marginals(p, m, seed, breaks, size)
+        assert mx.validate_marginals(marginals) == legacy_validate_marginals(marginals)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    def test_matches_the_loop_at_other_tolerances(self, tol):
+        for seed in range(20):
+            marginals = broken_marginals(3, 3, seed, {"sum", "transpose", "p_y"}, 1e-6)
+            assert mx.validate_marginals(marginals, tol) == legacy_validate_marginals(marginals, tol)
+
+    def test_every_check_fires(self):
+        found = set()
+        for seed in range(40):
+            report = mx.validate_marginals(broken_marginals(3, 2, seed, set(BREAKS) - {"degenerate"}, 0.05))
+            for text in report.violations:
+                found.update(key for key in ("negative", "sums to", "transpose", "row sums", "P(Y)") if key in text)
+        assert found == {"negative", "sums to", "transpose", "row sums", "P(Y)"}
 
 
 class TestUniformAndPerturb:

@@ -17,8 +17,12 @@ from maxcorr.errors import (
 )
 
 from maxcorr.io import read_marginals_json
+from maxcorr.numerics import nullspace_basis
 
-from conftest import boxed_tightness_lp, quadratic_grid_oracle
+import maxcorr.lowerbound
+import maxcorr.numerics
+import maxcorr.tightness
+from conftest import boxed_tightness_lp, forced_lp_certificate, quadratic_grid_oracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -360,3 +364,127 @@ class TestBlockShiftRays:
         oracle = boxed_tightness_lp(system)
         assert cert.verdict == ("Tight" if oracle <= 0.5 + cert.tol else "NotTight")
         assert cert.lp_value == pytest.approx(oracle, abs=1e-8)
+
+
+def full_support_joint(p, m, seed, additive):
+    spec = mx.AlphabetSpec(p, m)
+    return mx.additive_fixture(spec, seed) if additive else mx.random_joint(spec, seed)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Calls of ``solve_lp`` from the tightness module."""
+    calls = []
+    real = maxcorr.tightness.solve_lp
+
+    def counting(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(maxcorr.tightness, "solve_lp", counting)
+    return calls
+
+
+class TestClosedForm:
+    """When null(Q) holds only the block shifts, every minimizer has the
+    same h values: the certificate is max(h(z0), h(-z0)), without the LP."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(2, 6),
+        m=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        additive=st.booleans(),
+    )
+    def test_matches_the_lp_on_full_support(self, p, m, seed, additive):
+        system = system_of(full_support_joint(p, m, seed, additive))
+        cert = mx.check_tightness(system)
+        lp = forced_lp_certificate(system)
+        assert cert.verdict == lp.verdict
+        assert cert.z_star.tobytes() == lp.z_star.tobytes()
+        assert (cert.h_pos, cert.h_neg) == (lp.h_pos, lp.h_neg)
+        assert abs(cert.lp_value - lp.lp_value) <= 1e-14
+
+    @pytest.mark.parametrize("p, m", [(1, 2), (2, 2), (3, 3), (6, 3)])
+    def test_no_lp_on_full_support(self, lp_calls, p, m):
+        for seed, additive in [(0, True), (1, False)]:
+            mx.check_tightness(system_of(full_support_joint(p, m, seed, additive)))
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("kind", ["zero_label", "copy"])
+    def test_one_lp_on_extra_null_directions(self, lp_calls, kind):
+        mx.check_tightness(system_of(degenerate_joint(4, 3, kind, seed=5, additive=True)))
+        assert len(lp_calls) == 1
+
+    def test_copy_feature_fixture_takes_the_lp(self, lp_calls):
+        mx.check_tightness(mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json")))
+        assert len(lp_calls) == 1
+
+    def test_witness_is_a_fresh_array(self):
+        for joint in (mx.nonadditive_fixture(), full_support_joint(3, 2, 4, True)):
+            system = system_of(joint)
+            cert = mx.check_tightness(system)
+            assert cert.z_star.base is None
+            assert not np.shares_memory(cert.z_star, system.factor.vt)
+
+
+class TestOneFactorization:
+    def test_one_svd_per_system(self, monkeypatch):
+        calls = []
+        real = maxcorr.numerics.svd
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        for module in (maxcorr.numerics, maxcorr.lowerbound, maxcorr.tightness):
+            monkeypatch.setattr(module, "svd", counting, raising=False)
+        for joint in (mx.nonadditive_fixture(), degenerate_joint(3, 3, "zero_label", 2, True)):
+            calls.clear()
+            system = system_of(joint)
+            mx.gamma_lb_closed(system)
+            mx.rho_lb(system)
+            mx.minimum_norm_stationary(system)
+            mx.check_tightness(system)
+            assert len(calls) == 1
+
+    def test_factor_is_the_svd_of_q(self):
+        system = system_of(full_support_joint(3, 3, 1, False))
+        ref = maxcorr.numerics.svd(system.q)
+        for got, want in zip((system.factor.u, system.factor.s, system.factor.vt), (ref.u, ref.s, ref.vt)):
+            assert got.tobytes() == want.tobytes()
+
+
+def nearly_singular_system(rel):
+    """A full-support system whose smallest nonzero eigenvalue is moved to
+    ``rel`` times the top one, with d kept out of that direction so that it
+    stays in the column space whichever way the rank is decided."""
+    system = system_of(full_support_joint(3, 2, 7, False))
+    p = system.spec.p
+    vals, vecs = np.linalg.eigh(system.q)
+    v = vecs[:, p - 1]  # the first eigenvector past the p - 1 block shifts
+    assert vals[p - 2] < 1e-14 < vals[p - 1]
+    q = system.q + (rel * vals[-1] - vals[p - 1]) * np.outer(v, v)
+    q = 0.5 * (q + q.T)
+    d = system.d - (v @ system.d) * v
+    return mx.QdSystem(system.spec, q, d, system.p_y1, system.e_w)
+
+
+class TestNearlySingularQ:
+    """The rank cut RANK_TOL = 1e-10 decides the route, as it decides the
+    null basis of ``nullspace_basis``."""
+
+    def test_direction_below_the_cut_takes_the_lp(self, lp_calls):
+        system = nearly_singular_system(1e-12)
+        assert nullspace_basis(system.q).shape[1] == system.spec.p
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        # the LP also ranges along the dropped direction, so it can beat z0
+        assert cert.lp_value <= max(cert.h_pos, cert.h_neg) + 1e-12
+
+    def test_direction_above_the_cut_takes_the_closed_form(self, lp_calls):
+        system = nearly_singular_system(1e-8)
+        assert nullspace_basis(system.q).shape[1] == system.spec.p - 1
+        cert = mx.check_tightness(system)
+        assert lp_calls == []
+        assert cert.lp_value == max(cert.h_pos, cert.h_neg)
