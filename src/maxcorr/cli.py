@@ -10,9 +10,12 @@ Exit codes: 0 success (including a NotTight verdict from ``check-tight``,
 which is data, not failure), 2 input parse/validation error, 3 domain error
 during computation, 4 ``construct`` on a class without an additive member.
 
-``oracle``, ``lower-bound`` and ``gaussian`` load no scipy; ``check-tight``,
-``construct`` and ``probe-uniform`` import ``scipy.optimize`` when the
-tightness LP first runs.  The script entry point is :func:`run`.
+``oracle``, ``lower-bound`` and ``gaussian`` never load scipy.
+``check-tight``, ``construct`` and ``probe-uniform`` import ``scipy.optimize``
+only when the tightness certificate needs its LP, that is when Q has null
+directions beyond the block shifts (a label of zero probability, a feature
+that copies another, a sparse support); on full-support inputs they load no
+scipy either.  The script entry point is :func:`run`.
 """
 
 from __future__ import annotations

@@ -234,9 +234,9 @@ class PairwiseMarginalSet:
         object.__setattr__(self, "px", _freeze(px))
 
     def block_matrix(self) -> np.ndarray:
-        """The (pm, pm) matrix whose (i, j) block is :meth:`pair` ``(i, j)``,
-        the Q of the separable bound: entry (i*m + k, j*m + l) is
-        P(X_i = k, X_j = l)."""
+        """The (pm, pm) matrix Q of the separable bound: block (i, j) is
+        mu^{ij}, so entry (i*m + k, j*m + l) is P(X_i = k, X_j = l), with the
+        diagonal convention mu^{ii} = diag(P(X_i = .))."""
         p, m = self.spec.p, self.spec.m
         blocks = np.zeros((p, p, m, m))
         if p > 1:
@@ -245,12 +245,6 @@ class PairwiseMarginalSet:
         labels = np.arange(m)
         blocks[np.arange(p)[:, None], np.arange(p)[:, None], labels, labels] = self.px
         return blocks.transpose(0, 2, 1, 3).reshape(p * m, p * m)
-
-    def pair(self, i: int, j: int) -> np.ndarray:
-        """mu^{ij} with the diagonal convention mu^{ii} = diag(P(X_i = .))."""
-        if i == j:
-            return np.diag(self.px[i])
-        return self.xx[(i, j)]
 
     @property
     def p_y(self) -> np.ndarray:

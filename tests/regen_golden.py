@@ -203,7 +203,8 @@ def write_records():
         shutil.copytree(INPUTS, work)
         for name, argv in CASES.items():
             record = run_case(argv, work)
-            (RECORDS / f"{name}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+            text = json.dumps(record, indent=1, sort_keys=True) + "\n"
+            (RECORDS / f"{name}.json").write_text(text)
 
 
 if __name__ == "__main__":

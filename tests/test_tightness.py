@@ -451,8 +451,8 @@ class TestOneFactorization:
     def test_factor_is_the_svd_of_q(self):
         system = system_of(full_support_joint(3, 3, 1, False))
         ref = maxcorr.numerics.svd(system.q)
-        for got, want in zip((system.factor.u, system.factor.s, system.factor.vt), (ref.u, ref.s, ref.vt)):
-            assert got.tobytes() == want.tobytes()
+        for name in ("u", "s", "vt"):
+            assert getattr(system.factor, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def nearly_singular_system(rel):
