@@ -427,10 +427,11 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
     spec = marginals.spec
     p, m = spec.p, spec.m
     px, xy, xx = marginals.px, marginals.xy, marginals.xx
-    blocks = marginals.block_matrix().reshape(p, m, p, m).transpose(0, 2, 1, 3)
+    # xx[(i, j)] for i != j in row-major order sits at i * (p - 1) + j - (j > i)
+    tables = np.array(list(xx.values())).reshape(-1, m, m)
     i_up, j_up = np.triu_indices(p, 1)
-    upper = blocks[i_up, j_up]  # xx[(i, j)] for i < j, in (i, j) order
-    lower = blocks[j_up, i_up]  # xx[(j, i)] for the same pairs
+    upper = tables[i_up * (p - 1) + j_up - 1]  # xx[(i, j)] for i < j, in (i, j) order
+    lower = tables[j_up * (p - 1) + i_up]  # xx[(j, i)] for the same pairs
     violations = []
     warnings = []
 
@@ -460,12 +461,12 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
 
     # Row sums of every table must reproduce the univariate marginals: for
     # each i, xy[i] first, then xx[(i, j)] for j != i.  Column 0 of
-    # ``off_rows`` is xy[i] and column 1 + j is block (i, j); the diagonal
-    # blocks diag(px[i]) always pass.
-    rows = np.concatenate([xy.sum(axis=2)[:, None], blocks.sum(axis=3)], axis=1)
+    # ``off_rows`` is xy[i] and column 1 + c is the c-th j != i.
+    pair_rows = tables.sum(axis=2).reshape(p, p - 1, m)
+    rows = np.concatenate([xy.sum(axis=2)[:, None], pair_rows], axis=1)
     off_rows = ~(np.abs(rows - px[:, None, :]) <= tol).all(axis=2)
     for i, c in zip(*(idx.tolist() for idx in np.nonzero(off_rows))):
-        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1}]"
+        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1 + (c > i)}]"
         violations.append(f"{table} row sums disagree with px[{i}]")
 
     py = xy.sum(axis=1)  # (p, 2)

@@ -72,13 +72,11 @@ def pseudoinverse(
     return (res.vt.T * inv) @ res.u.T
 
 
-def nullspace_basis(
-    a: np.ndarray, rank_tol: float = RANK_TOL, factor: SvdResult | None = None
-) -> np.ndarray:
+def nullspace_basis(a: np.ndarray, factor: SvdResult, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space of a symmetric PSD matrix.
 
-    Returns an (n, n - rank) matrix; empty second dimension when full rank.
-    ``factor`` is as for :func:`pseudoinverse`; ``a`` is checked either way.
+    ``factor`` is :func:`svd` of ``a``.  Returns an (n, n - rank) matrix;
+    empty second dimension when full rank.
     """
     a = np.asarray(a, dtype=float)
     _require_finite(a)
@@ -86,9 +84,10 @@ def nullspace_basis(
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max())), rtol=0):
         raise NotSymmetric("matrix is not symmetric")
-    res = svd(a) if factor is None else factor
-    r = numerical_rank(res.s, rank_tol)
-    return res.vt[r:].T.copy()
+    if factor.vt.shape != a.shape:
+        raise DimensionMismatch(f"factor of shape {factor.vt.shape} does not match {a.shape}")
+    r = numerical_rank(factor.s, rank_tol)
+    return factor.vt[r:].T.copy()
 
 
 def cg_minimum_norm(a: np.ndarray, b: np.ndarray, tol: float = 1e-14, max_iter: int | None = None) -> np.ndarray:

@@ -183,7 +183,7 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec
     z0 = minimum_norm_stationary(system)
-    basis = _without_block_shifts(nullspace_basis(system.q, factor=system.factor), spec)
+    basis = _without_block_shifts(nullspace_basis(system.q, system.factor), spec)
     if basis.shape[1] == 0:
         # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
         value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0

@@ -147,7 +147,7 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
     ``_minimize_h`` deciding over an empty or non-empty basis alike."""
     spec = system.spec
     z0 = mx.minimum_norm_stationary(system)
-    basis = tightness._without_block_shifts(nullspace_basis(system.q), spec)
+    basis = tightness._without_block_shifts(nullspace_basis(system.q, system.factor), spec)
     value, z_min = tightness._minimize_h(z0, basis, spec)
     return tightness._certificate(z0, z_min, value, spec, tol)
 

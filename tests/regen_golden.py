@@ -4,13 +4,18 @@ rewritten.
 ``tests/data/golden/inputs/`` holds small input files; ``records/`` holds,
 per case, the exit code, stdout and stderr of ``maxcorr.cli.main`` and the
 bytes of any CSV the case writes.  ``tests/test_golden.py`` reruns every case
-and compares bytes.  This script runs only by hand:
+and compares bytes.  The records are rewritten only by hand:
 
     PYTHONPATH=src python tests/regen_golden.py            # rewrite records
     PYTHONPATH=src python tests/regen_golden.py --inputs   # inputs, then records
 
 A change that rewrites a record names it in CHANGES.md, with the reason and
-the largest numeric change.  ``--inputs`` draws every input again from fixed
+the largest numeric change.  With the package installed, ``--check-script``
+runs the named cases through the ``maxcorr`` console script instead and
+exits non-zero unless each matches its record:
+
+    python tests/regen_golden.py --check-script construct_additive_2x2 check_tight_copy_feature
+  ``--inputs`` draws every input again from fixed
 seeds; the ``cli_small`` inputs come from the benchmark's own set-up
 (``bench/workloads.py``, seed 11).
 """
@@ -23,6 +28,7 @@ import json
 import logging
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -93,6 +99,18 @@ CASES = {
 }
 
 
+def _record(argv, workdir, invoke) -> dict:
+    """The record of one case: ``invoke(argv, workdir)`` gives the exit
+    code, stdout and stderr; ``out.csv`` is added when the case writes it."""
+    workdir = Path(workdir)
+    (workdir / OUT).unlink(missing_ok=True)
+    code, stdout, stderr = invoke(list(argv), workdir)
+    record = {"argv": list(argv), "code": code, "stdout": stdout, "stderr": stderr}
+    if (workdir / OUT).exists():
+        record["out"] = (workdir / OUT).read_bytes().decode()
+    return record
+
+
 def run_case(argv, workdir) -> dict:
     """Run ``maxcorr.cli.main(argv)`` in ``workdir``: exit code, stdout,
     stderr, and the text of ``out.csv`` when the case writes it.
@@ -101,10 +119,22 @@ def run_case(argv, workdir) -> dict:
     fresh CLI process, even where a test harness has handlers on the root
     logger.
     """
+    return _record(argv, workdir, _in_process)
+
+
+def run_script(argv, workdir) -> dict:
+    """:func:`run_case` through the installed ``maxcorr`` console script."""
+    return _record(argv, workdir, _console_script)
+
+
+def _console_script(argv, workdir):
+    proc = subprocess.run(["maxcorr", *argv], cwd=workdir, capture_output=True)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _in_process(argv, workdir):
     from maxcorr.cli import main
 
-    workdir = Path(workdir)
-    (workdir / OUT).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     logger = logging.getLogger("maxcorr")
     propagate, cwd = logger.propagate, os.getcwd()
@@ -113,16 +143,13 @@ def run_case(argv, workdir) -> dict:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(list(argv))
+                code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
     finally:
         os.chdir(cwd)
         logger.propagate = propagate
-    record = {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-    if (workdir / OUT).exists():
-        record["out"] = (workdir / OUT).read_bytes().decode()
-    return record
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_inputs():
@@ -207,7 +234,27 @@ def write_records():
             (RECORDS / f"{name}.json").write_text(text)
 
 
+def check_script(names) -> bool:
+    """Run the named cases through :func:`run_script` on a copy of the
+    inputs, report each, and tell whether all match their records."""
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "inputs"
+        shutil.copytree(INPUTS, work)
+        for name in names:
+            expected = json.loads((RECORDS / f"{name}.json").read_text())
+            same = run_script(CASES[name], work) == expected
+            print(f"{name}: {'identical' if same else 'differs from its record'}")
+            ok &= same
+    return ok
+
+
 if __name__ == "__main__":
-    if "--inputs" in sys.argv[1:]:
+    args = sys.argv[1:]
+    if args[:1] == ["--check-script"]:
+        if len(args) == 1:
+            raise SystemExit("--check-script needs at least one case name")
+        sys.exit(0 if check_script(args[1:]) else 1)
+    if "--inputs" in args:
         write_inputs()
     write_records()

@@ -355,11 +355,11 @@ IMPORT_PROBE = textwrap.dedent(
         with contextlib.redirect_stdout(io.StringIO()):
             assert maxcorr.cli.main(argv) == 0
         seen[argv[0]] = scipy_modules()
+    maxcorr.discretize_bivariate_gaussian(0.5, grid_n=16)
+    seen["witness"] = scipy_modules()
     with contextlib.redirect_stdout(io.StringIO()):
         assert maxcorr.cli.main(json.loads(sys.argv[2])) == 0
     seen["lp"] = scipy_modules()
-    maxcorr.discretize_bivariate_gaussian(0.5, grid_n=16)
-    seen["witness"] = scipy_modules()
     print(json.dumps(seen))
     """
 )

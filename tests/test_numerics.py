@@ -87,17 +87,17 @@ class TestPseudoinverse:
 
 class TestNullspaceBasis:
     def test_identity_has_empty_basis(self):
-        assert nullspace_basis(np.eye(3)).shape == (3, 0)
+        assert nullspace_basis(np.eye(3), svd(np.eye(3))).shape == (3, 0)
 
     def test_all_ones_direction(self):
-        basis = nullspace_basis(np.ones((2, 2)))
+        basis = nullspace_basis(np.ones((2, 2)), svd(np.ones((2, 2))))
         assert basis.shape == (2, 1)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert min(np.abs(basis[:, 0] - expected).max(), np.abs(basis[:, 0] + expected).max()) < 1e-12
 
     def test_fixture_system_null_direction(self):
         q = fixture_q()
-        basis = nullspace_basis(q)
+        basis = nullspace_basis(q, svd(q))
         assert basis.shape == (4, 1)
         expected = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         assert min(np.abs(basis[:, 0] - expected).max(), np.abs(basis[:, 0] + expected).max()) < 1e-10
@@ -105,7 +105,7 @@ class TestNullspaceBasis:
 
     def test_columns_orthonormal_and_annihilated(self):
         a = random_psd(12, seed=4, rank=7)
-        basis = nullspace_basis(a)
+        basis = nullspace_basis(a, svd(a))
         assert basis.shape == (12, 5)
         assert_allclose(basis.T @ basis, np.eye(5), atol=1e-10)
         top = svd(a).s[0]
@@ -113,7 +113,12 @@ class TestNullspaceBasis:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            nullspace_basis(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            a = np.array([[1.0, 2.0], [0.0, 1.0]])
+            nullspace_basis(a, svd(a))
+
+    def test_rejects_a_factor_of_another_size(self):
+        with pytest.raises(DimensionMismatch):
+            nullspace_basis(np.eye(3), svd(np.eye(2)))
 
 
 class TestCgMinimumNorm:

@@ -476,7 +476,7 @@ class TestNearlySingularQ:
 
     def test_direction_below_the_cut_takes_the_lp(self, lp_calls):
         system = nearly_singular_system(1e-12)
-        assert nullspace_basis(system.q).shape[1] == system.spec.p
+        assert nullspace_basis(system.q, system.factor).shape[1] == system.spec.p
         cert = mx.check_tightness(system)
         assert len(lp_calls) == 1
         # the LP also ranges along the dropped direction, so it can beat z0
@@ -484,7 +484,7 @@ class TestNearlySingularQ:
 
     def test_direction_above_the_cut_takes_the_closed_form(self, lp_calls):
         system = nearly_singular_system(1e-8)
-        assert nullspace_basis(system.q).shape[1] == system.spec.p - 1
+        assert nullspace_basis(system.q, system.factor).shape[1] == system.spec.p - 1
         cert = mx.check_tightness(system)
         assert lp_calls == []
         assert cert.lp_value == max(cert.h_pos, cert.h_neg)
