@@ -95,6 +95,7 @@ CASES = {
     "error_degenerate": ["lower-bound", "--joint", "degenerate.csv"],
     "error_degenerate_check_tight": ["check-tight", "--joint", "degenerate.csv"],
     "error_inconsistent": ["check-tight", "--marginals", "inconsistent.json"],
+    "error_indefinite": ["lower-bound", "--marginals", "indefinite.json"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -206,6 +207,14 @@ def write_inputs():
     bad = json.loads((INPUTS / "nonadditive.json").read_text())
     bad["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
     (INPUTS / "inconsistent.json").write_text(json.dumps(bad, sort_keys=True) + "\n")
+    # Pairwise-consistent tables whose Q is indefinite: three binary
+    # features, each pair always unequal.
+    neq = np.array([[0.0, 0.5], [0.5, 0.0]])
+    xx = {(i, j): neq for i in range(3) for j in range(3) if i != j}
+    triangle = mx.PairwiseMarginalSet(
+        mx.AlphabetSpec(3, 2), xx, np.full((3, 2, 2), 0.25), np.full((3, 2), 0.5)
+    )
+    write_marginals_json(triangle, INPUTS / "indefinite.json")
 
     # The cli_small inputs, as the benchmark's set-up writes them for seed 11.
     sys.path.insert(0, str(HERE.parent / "bench"))
