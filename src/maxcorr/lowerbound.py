@@ -37,7 +37,7 @@ from .errors import (
     DInconsistentWithQ,
     InconsistentMarginals,
 )
-from .numerics import RANK_TOL, SvdResult, cg_minimum_norm, pseudoinverse, svd
+from .numerics import RANK_TOL, SymmetricEigen, cg_minimum_norm, eigh
 
 logger = logging.getLogger(__name__)
 
@@ -49,10 +49,9 @@ RESIDUAL_TOL = 1e-8
 class QdSystem:
     """Assembled quadratic system (Q, d) plus P(Y=1) and E[w].
 
-    ``warnings`` carries the validation warnings of the marginals it was
-    assembled from (empty when assembled unchecked).  ``factor``, the thin
-    SVD of Q, is computed on first use and shared by the bound, the
-    minimum-norm minimizer and the null space of the tightness test.
+    ``factor``, the symmetric eigendecomposition of Q, is computed on first
+    use and shared by the PSD check, the bound, the minimum-norm minimizer
+    and the null space of the tightness test.
     """
 
     spec: AlphabetSpec
@@ -60,7 +59,6 @@ class QdSystem:
     d: np.ndarray
     p_y1: float
     e_w: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         pm = self.spec.pm
@@ -68,8 +66,8 @@ class QdSystem:
             raise DimensionMismatch("QdSystem arrays inconsistent with spec")
 
     @cached_property
-    def factor(self) -> SvdResult:
-        return svd(self.q)
+    def factor(self) -> SymmetricEigen:
+        return eigh(self.q)
 
     @property
     def var_y(self) -> float:
@@ -107,30 +105,26 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
     Layout: block i covers indices i*m .. i*m + m - 1 and entry k within the
     block is label k.  Raises :class:`InconsistentMarginals` when the local
     validity screen fails or Q is not positive semidefinite (a necessary
-    condition for the marginals to be realizable).  The checked system
-    keeps the screen's warnings.
+    condition for the marginals to be realizable); the check factors Q.
     """
-    warnings: tuple[str, ...] = ()
     if check:
         report = validate_marginals(marginals)
         if not report.ok:
             raise InconsistentMarginals("; ".join(report.violations))
-        warnings = report.warnings
 
     spec = marginals.spec
     pm = spec.pm
     q = marginals.block_matrix()
     d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(pm)
     e_w = marginals.px.reshape(pm)
-    p_y1 = float(marginals.p_y[1])
-
+    system = QdSystem(spec, q, d, float(marginals.p_y[1]), e_w)
     if check:
-        min_eig = float(np.linalg.eigvalsh(q).min())
+        min_eig = float(system.factor.w[0])
         if min_eig < -1e-10:
             raise InconsistentMarginals(
                 f"Q has eigenvalue {min_eig:.3e} < 0; no joint realizes these marginals"
             )
-    return QdSystem(spec, q, d, p_y1, e_w, warnings)
+    return system
 
 
 def _check_residual(system: QdSystem, z: np.ndarray):
@@ -153,14 +147,14 @@ def _clamp_gamma(gamma: float) -> float:
 
 def minimum_norm_stationary(system: QdSystem, rank_tol: float = RANK_TOL) -> np.ndarray:
     """The minimum-norm solution of 2Qz = d, i.e. z = Q^+ d / 2."""
-    z = 0.5 * pseudoinverse(system.q, rank_tol, system.factor) @ system.d
+    z = 0.5 * system.factor.solve(system.d, rank_tol)
     _check_residual(system, z)
     return z
 
 
 def gamma_lb_closed(system: QdSystem, rank_tol: float = RANK_TOL) -> float:
     """gamma via the pseudoinverse identity (1 - d'Q^+ d) / 4."""
-    u = pseudoinverse(system.q, rank_tol, system.factor) @ system.d
+    u = system.factor.solve(system.d, rank_tol)
     dnorm = float(np.linalg.norm(system.d))
     resid = float(np.linalg.norm(system.q @ u - system.d))
     if dnorm > 0.0 and resid > RESIDUAL_TOL * dnorm:

@@ -3,9 +3,12 @@
 Thin, contract-checked wrappers over LAPACK (via numpy) and HiGHS (via
 scipy.optimize.linprog), plus a conjugate-gradient solve for consistent
 positive-semidefinite systems that serves as the iterative counterpart to
-pseudoinverse-based formulas.  Everything is double precision and
-deterministic under fixed inputs.  ``scipy.optimize`` is imported on the
-first :func:`solve_lp` call, so the other kernels load no scipy.
+pseudoinverse-based formulas.  :func:`eigh` factors a symmetric matrix once;
+its range, null space and minimum-norm solves all come from that one
+eigendecomposition.  :func:`pseudoinverse` is SVD-based, for general
+matrices.  Everything is double precision and deterministic under fixed
+inputs.  ``scipy.optimize`` is imported on the first :func:`solve_lp` call,
+so the other kernels load no scipy.
 """
 
 from __future__ import annotations
@@ -16,33 +19,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, LpFailure, NonFinite, NotSymmetric
 
-#: Relative cutoff below which singular values count as zero.
+#: Relative cutoff below which singular values, or |eigenvalues|, count as zero.
 RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``A = U diag(s) Vt`` with s sorted descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vt
 
 
 def _require_finite(a: np.ndarray):
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix contains NaN or infinity")
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Thin singular value decomposition of a dense real matrix."""
-    a = np.asarray(a, dtype=float)
-    _require_finite(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u, s, vt)
 
 
 def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
@@ -53,41 +36,61 @@ def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def pseudoinverse(
-    a: np.ndarray, rank_tol: float = RANK_TOL, factor: SvdResult | None = None
-) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, truncating relative to the top singular value.
-
-    ``factor``, when given, must be :func:`svd` of ``a``; it is used in place
-    of factoring ``a`` again.
-    """
+def pseudoinverse(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, truncating relative to the top singular value."""
     if rank_tol <= 0:
         raise DimensionMismatch(f"rank_tol must be > 0, got {rank_tol}")
-    res = svd(a) if factor is None else factor
-    r = numerical_rank(res.s, rank_tol)
+    a = np.asarray(a, dtype=float)
+    _require_finite(a)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    r = numerical_rank(s, rank_tol)
     if r == 0:
         return np.zeros((a.shape[1], a.shape[0]))
-    inv = np.zeros_like(res.s)
-    inv[:r] = 1.0 / res.s[:r]
-    return (res.vt.T * inv) @ res.u.T
+    inv = np.zeros_like(s)
+    inv[:r] = 1.0 / s[:r]
+    return (vt.T * inv) @ u.T
 
 
-def nullspace_basis(a: np.ndarray, factor: SvdResult, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the null space of a symmetric PSD matrix.
+@dataclass(frozen=True)
+class SymmetricEigen:
+    """Eigendecomposition ``A = V diag(w) V'`` of a symmetric matrix, w ascending.
 
-    ``factor`` is :func:`svd` of ``a``.  Returns an (n, n - rank) matrix;
-    empty second dimension when full rank.
+    An eigenvalue counts as nonzero when ``|w| > rank_tol * max|w|``, the
+    cut :func:`numerical_rank` makes on the singular values ``|w|``.
     """
+
+    w: np.ndarray
+    v: np.ndarray
+
+    def kept(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        """Mask of the eigenvalues above the rank cut."""
+        if rank_tol <= 0:
+            raise DimensionMismatch(f"rank_tol must be > 0, got {rank_tol}")
+        mag = np.abs(self.w)
+        return mag > rank_tol * mag.max(initial=0.0)
+
+    def solve(self, b: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+        """``A^+ b`` as ``V_r ((V_r' b) / w_r)``, without forming ``A^+``."""
+        keep = self.kept(rank_tol)
+        vr = self.v[:, keep]
+        return vr @ ((vr.T @ b) / self.w[keep])
+
+    def null_basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+        """Orthonormal (n, n - rank) basis of the null space: the
+        eigenvectors below the cut."""
+        return self.v[:, ~self.kept(rank_tol)]
+
+
+def eigh(a: np.ndarray) -> SymmetricEigen:
+    """Symmetric eigendecomposition of a dense, finite, symmetric matrix."""
     a = np.asarray(a, dtype=float)
     _require_finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max())), rtol=0):
         raise NotSymmetric("matrix is not symmetric")
-    if factor.vt.shape != a.shape:
-        raise DimensionMismatch(f"factor of shape {factor.vt.shape} does not match {a.shape}")
-    r = numerical_rank(factor.s, rank_tol)
-    return factor.vt[r:].T.copy()
+    w, v = np.linalg.eigh(a)
+    return SymmetricEigen(w, v)
 
 
 def cg_minimum_norm(a: np.ndarray, b: np.ndarray, tol: float = 1e-14, max_iter: int | None = None) -> np.ndarray:

@@ -22,13 +22,14 @@ passes.  The block shifts 1_i - 1_j (all ones on block i, minus all ones on
 block j) always lie in null(Q) and leave both h(z) and h(-z) unchanged, so N
 is taken orthogonal to them.
 
-When the null space holds nothing but the block shifts, every minimizer has
-the same h values and the answer is max(h(z0), h(-z0)) in closed form.  That
-is the case for every class with full support, and then no LP is built and
-scipy is not imported.  Otherwise (a label of zero probability, a feature
-that copies another, a sparse support) a small LP over c decides; the shifts
-are left out of it because they would only give it flat rays, on which
-HiGHS can fail.  The SVD of Q behind z0 and N is the one the bound uses.
+When the nullity of Q is at most p - 1, the null space holds nothing but
+the block shifts, every minimizer has the same h values and the answer is
+max(h(z0), h(-z0)) in closed form.  That is the case for every class with
+full support, and then no LP is built and scipy is not imported.  Otherwise
+(a label of zero probability, a feature that copies another, a sparse
+support) a small LP over c decides; the shifts are left out of it because
+they would only give it flat rays, on which HiGHS can fail.  z0 and N come
+from the eigendecomposition of Q that the bound uses.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .hgr import flatten_joint, hgr_svd
 from .lowerbound import QdSystem, assemble_qd, minimum_norm_stationary, rho_lb
-from .numerics import LinearProgram, nullspace_basis, solve_lp
+from .numerics import LinearProgram, solve_lp
 
 #: Default slack for the h <= 1/2 boundary (non-strict in exact arithmetic).
 TIGHT_TOL = 1e-9
@@ -105,18 +106,14 @@ def h_value(z: np.ndarray, spec: AlphabetSpec) -> float:
 def _without_block_shifts(basis: np.ndarray, spec: AlphabetSpec) -> np.ndarray:
     """Orthonormal basis of span(basis) minus the block-shift directions.
 
-    The shifts 1_i - 1_j lie in null(Q); projecting them out leaves singular
-    values near 1 on the directions kept and near 0 on the shifts dropped.
+    The shifts 1_i - 1_j span the block-constant vectors whose block values
+    sum to zero, so projecting them out subtracts from each block its mean
+    less the mean over blocks.  That leaves singular values near 1 on the
+    directions kept and near 0 on the shifts dropped.
     """
-    p, m = spec.p, spec.m
-    if p < 2 or basis.shape[1] == 0:
-        return basis
-    shifts = np.zeros((spec.pm, p - 1))
-    shifts[:m] = 1.0
-    for i in range(1, p):
-        shifts[i * m : (i + 1) * m, i - 1] = -1.0
-    span, _ = np.linalg.qr(shifts)
-    rest = basis - span @ (span.T @ basis)
+    blocks = basis.reshape(spec.p, spec.m, -1)
+    means = blocks.mean(axis=1, keepdims=True)
+    rest = (blocks - (means - means.mean(axis=0, keepdims=True))).reshape(basis.shape)
     u, s, _ = np.linalg.svd(rest, full_matrices=False)
     return u[:, s > 0.5]
 
@@ -176,19 +173,20 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
     """Decide whether the lower bound is attained over the marginal class.
 
     The optimum min max(h(z), h(-z)) over all quadratic minimizers
-    z = z0 + N c is max(h(z0), h(-z0)) when N, the null space of Q minus
-    the block shifts, is empty, and the LP of :func:`_minimize_h` otherwise.
+    z = z0 + N c is max(h(z0), h(-z0)) when null(Q) has dimension at most
+    p - 1 (only the block shifts), and otherwise the LP of
+    :func:`_minimize_h` over N, the null space of Q minus the block shifts.
     """
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec
     z0 = minimum_norm_stationary(system)
-    basis = _without_block_shifts(nullspace_basis(system.q, system.factor), spec)
-    if basis.shape[1] == 0:
+    null = system.factor.null_basis()
+    if null.shape[1] <= spec.p - 1:
         # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
         value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0
     else:
-        value, z_min = _minimize_h(z0, basis, spec)
+        value, z_min = _minimize_h(z0, _without_block_shifts(null, spec), spec)
     return _certificate(z0, z_min, value, spec, tol)
 
 

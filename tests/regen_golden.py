@@ -10,7 +10,15 @@ and compares bytes.  The records are rewritten only by hand:
     PYTHONPATH=src python tests/regen_golden.py --inputs   # inputs, then records
 
 A change that rewrites a record names it in CHANGES.md, with the reason and
-the largest numeric change.  With the package installed, ``--check-script``
+the largest numeric change, which ``--diff`` prints without rewriting
+anything: for each record the current code no longer matches, the largest
+absolute change of each numeric field of the report (and of the ``prob``
+column of a written CSV).  It exits non-zero if anything else moved: the
+exit code, stderr, a verdict or any other non-numeric field.
+
+    PYTHONPATH=src python tests/regen_golden.py --diff
+
+With the package installed, ``--check-script``
 runs the named cases through the ``maxcorr`` console script instead and
 exits non-zero unless each matches its record:
 
@@ -258,12 +266,88 @@ def check_script(names) -> bool:
     return ok
 
 
+def _fields(record: dict) -> list:
+    """``(path, value, numeric)`` triples of a record.  The report on stdout
+    is split into its leaves (a list's items share its path) and the
+    ``prob`` column of a written CSV into numbers; ``numeric`` marks those
+    numbers, everything else is compared as it is."""
+    fields = [(key, record[key], False) for key in ("argv", "code", "stderr")]
+
+    def leaves(obj, path):
+        if isinstance(obj, dict):
+            for key in sorted(obj):
+                leaves(obj[key], f"{path}.{key}")
+        elif isinstance(obj, list):
+            for item in obj:
+                leaves(item, path)
+        else:
+            numeric = isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            fields.append((path, obj, numeric))
+
+    try:
+        leaves(json.loads(record["stdout"]), "stdout")
+    except ValueError:
+        fields.append(("stdout", record["stdout"], False))
+    if "out" in record:
+        # prob is the last column; the rest of each line, line ends included,
+        # is compared as text
+        header, *rows = record["out"].split("\n")
+        skeleton = [header]
+        for row in rows:
+            head, _, tail = row.rpartition(",")
+            prob = tail.rstrip("\r")
+            if prob:
+                fields.append(("out.prob", float(prob), True))
+            skeleton.append(f"{head},#{tail[len(prob):]}" if head else row)
+        fields.append(("out", "\n".join(skeleton), False))
+    return fields
+
+
+def diff_records() -> bool:
+    """Print, for each case whose current record differs from the stored one,
+    the largest absolute change of each numeric field; tell whether nothing
+    but numbers moved."""
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "inputs"
+        shutil.copytree(INPUTS, work)
+        for name, argv in CASES.items():
+            stored = RECORDS / f"{name}.json"
+            if not stored.exists():
+                print(f"{name}: no record")
+                ok = False
+                continue
+            new = run_case(argv, work)
+            old = json.loads(stored.read_text())
+            if new == old:
+                continue
+            before, after = _fields(old), _fields(new)
+            if [f[0] for f in before] != [f[0] for f in after]:
+                print(f"{name}: the layout of the record moved")
+                ok = False
+                continue
+            change, moved = {}, []
+            for (field, a, numeric), (_, b, numeric_b) in zip(before, after):
+                if numeric and numeric_b:
+                    change[field] = max(change.get(field, 0.0), abs(b - a))
+                elif a != b and field not in moved:
+                    moved.append(field)
+            numbers = ", ".join(f"{k} {v:.2g}" for k, v in change.items() if v > 0)
+            print(f"{name}: {numbers or 'no numeric change'}")
+            for field in moved:
+                print(f"  {field} moved")
+            ok &= not moved
+    return ok
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--check-script"]:
         if len(args) == 1:
             raise SystemExit("--check-script needs at least one case name")
         sys.exit(0 if check_script(args[1:]) else 1)
+    if args[:1] == ["--diff"]:
+        sys.exit(0 if diff_records() else 1)
     if "--inputs" in args:
         write_inputs()
     write_records()

@@ -10,7 +10,7 @@ from maxcorr.errors import (
     InconsistentMarginals,
 )
 from maxcorr.lowerbound import QdSystem
-from maxcorr.numerics import numerical_rank, pseudoinverse, svd
+from maxcorr.numerics import numerical_rank, pseudoinverse
 
 
 def system_of(joint):
@@ -60,7 +60,7 @@ class TestAssembleQd:
             cols = system.q[:, i * m : (i + 1) * m].sum(axis=1)
             assert_allclose(cols, system.e_w, atol=1e-12)
             assert system.e_w[i * m : (i + 1) * m].sum() == pytest.approx(1.0, abs=1e-12)
-        assert numerical_rank(svd(system.q).s) <= (m - 1) * p + 1
+        assert numerical_rank(np.linalg.svd(system.q, compute_uv=False)) <= (m - 1) * p + 1
         # the linear term lies in the column space
         u = pseudoinverse(system.q) @ system.d
         assert np.linalg.norm(system.q @ u - system.d) < 1e-8
@@ -81,16 +81,6 @@ class TestAssembleQd:
         assert mx.validate_marginals(marginals).ok
         with pytest.raises(InconsistentMarginals):
             mx.assemble_qd(marginals)
-
-    def test_checked_system_keeps_validation_warnings(self):
-        spec = mx.AlphabetSpec(1, 2)
-        joint = mx.joint_from_table(spec, [((0,), 0, 0.5), ((1,), 0, 0.5)])
-        marginals = mx.pairwise_from_joint(joint)
-        warnings = mx.validate_marginals(marginals).warnings
-        assert warnings and "degenerate target" in warnings[0]
-        assert mx.assemble_qd(marginals).warnings == warnings
-        assert mx.assemble_qd(marginals, check=False).warnings == ()
-        assert system_of(mx.nonadditive_fixture()).warnings == ()
 
 
 class TestGammaLowerBound:

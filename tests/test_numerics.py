@@ -7,11 +7,10 @@ from maxcorr.errors import DimensionMismatch, NonFinite, NotSymmetric
 from maxcorr.numerics import (
     LinearProgram,
     cg_minimum_norm,
-    nullspace_basis,
+    eigh,
     numerical_rank,
     pseudoinverse,
     solve_lp,
-    svd,
 )
 
 from conftest import lp_vertex_oracle, random_psd
@@ -22,38 +21,48 @@ def fixture_q():
 
 
 class TestSvd:
+    """The eigh factor read as the SVD of a symmetric matrix: its singular
+    values are |w|, which is why its rank cut is the SVD's."""
+
+    @staticmethod
+    def singular_values(a):
+        return np.sort(np.abs(eigh(a).w))[::-1]
+
     def test_identity_singular_values(self):
-        assert_allclose(svd(np.eye(3)).s, [1.0, 1.0, 1.0], atol=1e-15)
+        assert_allclose(self.singular_values(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-15)
 
     def test_all_ones_rank_one(self):
-        res = svd(np.ones((2, 2)))
-        assert_allclose(res.s, [2.0, 0.0], atol=1e-15)
+        res = eigh(np.ones((2, 2)))
+        assert_allclose(res.w, [0.0, 2.0], atol=1e-15)
+        assert res.kept().tolist() == [False, True]
 
     def test_reconstruction_is_its_own_oracle(self):
         rng = np.random.default_rng(99)
         a = rng.standard_normal((5, 5))
-        res = svd(a)
-        assert np.abs(res.reconstruct() - a).max() < 1e-10
+        a = a + a.T
+        res = eigh(a)
+        assert np.abs((res.v * res.w) @ res.v.T - a).max() < 1e-10
 
     def test_orthonormality(self):
-        a = np.random.default_rng(3).standard_normal((6, 4))
-        res = svd(a)
-        assert_allclose(res.u.T @ res.u, np.eye(4), atol=1e-8)
-        assert_allclose(res.vt @ res.vt.T, np.eye(4), atol=1e-8)
+        a = random_psd(6, seed=3, rank=4)
+        res = eigh(a)
+        assert_allclose(res.v.T @ res.v, np.eye(6), atol=1e-8)
+        assert_allclose(res.v @ res.v.T, np.eye(6), atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_second_singular_value_permutation_invariant(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 6))
-        rows = rng.permutation(6)
-        cols = rng.permutation(6)
-        s_base = svd(a).s
-        s_perm = svd(a[rows][:, cols]).s
+        a = a + a.T
+        perm = rng.permutation(6)
+        s_base = self.singular_values(a)
+        s_perm = self.singular_values(a[perm][:, perm])
         assert s_perm[1] == pytest.approx(s_base[1], abs=1e-10)
+        assert_allclose(s_base, np.linalg.svd(a, compute_uv=False), atol=1e-10)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFinite):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+            eigh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def penrose_errors(a, a_pinv):
@@ -86,18 +95,20 @@ class TestPseudoinverse:
 
 
 class TestNullspaceBasis:
+    """The null columns of :func:`eigh`: the eigenvectors below the cut."""
+
     def test_identity_has_empty_basis(self):
-        assert nullspace_basis(np.eye(3), svd(np.eye(3))).shape == (3, 0)
+        assert eigh(np.eye(3)).null_basis().shape == (3, 0)
 
     def test_all_ones_direction(self):
-        basis = nullspace_basis(np.ones((2, 2)), svd(np.ones((2, 2))))
+        basis = eigh(np.ones((2, 2))).null_basis()
         assert basis.shape == (2, 1)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert min(np.abs(basis[:, 0] - expected).max(), np.abs(basis[:, 0] + expected).max()) < 1e-12
 
     def test_fixture_system_null_direction(self):
         q = fixture_q()
-        basis = nullspace_basis(q, svd(q))
+        basis = eigh(q).null_basis()
         assert basis.shape == (4, 1)
         expected = np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
         assert min(np.abs(basis[:, 0] - expected).max(), np.abs(basis[:, 0] + expected).max()) < 1e-10
@@ -105,20 +116,42 @@ class TestNullspaceBasis:
 
     def test_columns_orthonormal_and_annihilated(self):
         a = random_psd(12, seed=4, rank=7)
-        basis = nullspace_basis(a, svd(a))
+        basis = eigh(a).null_basis()
         assert basis.shape == (12, 5)
         assert_allclose(basis.T @ basis, np.eye(5), atol=1e-10)
-        top = svd(a).s[0]
+        top = np.linalg.svd(a, compute_uv=False)[0]
         assert np.abs(a @ basis).max() < 1e-8 * top
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
-            a = np.array([[1.0, 2.0], [0.0, 1.0]])
-            nullspace_basis(a, svd(a))
+            eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_rejects_a_factor_of_another_size(self):
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(NotSymmetric):
+            eigh(np.ones((2, 3)))
+
+
+class TestEighSolve:
+    """``solve`` is the pseudoinverse applied to a vector, from the one
+    factor; the SVD-based :func:`pseudoinverse` is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_pseudoinverse(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        a = random_psd(n, seed=rng.integers(1 << 31), rank=int(rng.integers(1, n + 1)))
+        b = rng.standard_normal(n)
+        assert_allclose(eigh(a).solve(b), pseudoinverse(a) @ b, atol=1e-8)
+
+    def test_zero_matrix_keeps_nothing(self):
+        res = eigh(np.zeros((3, 3)))
+        assert not res.kept().any()
+        assert_allclose(res.solve(np.ones(3)), 0.0, atol=0)
+        assert res.null_basis().shape == (3, 3)
+
+    def test_rejects_a_non_positive_rank_tol(self):
         with pytest.raises(DimensionMismatch):
-            nullspace_basis(np.eye(3), svd(np.eye(2)))
+            eigh(np.eye(2)).solve(np.ones(2), rank_tol=0.0)
 
 
 class TestCgMinimumNorm:

@@ -17,7 +17,7 @@ from maxcorr.errors import (
 )
 
 from maxcorr.io import read_marginals_json
-from maxcorr.numerics import nullspace_basis
+from maxcorr.numerics import numerical_rank
 
 import maxcorr.lowerbound
 import maxcorr.numerics
@@ -425,34 +425,48 @@ class TestClosedForm:
             system = system_of(joint)
             cert = mx.check_tightness(system)
             assert cert.z_star.base is None
-            assert not np.shares_memory(cert.z_star, system.factor.vt)
+            assert not np.shares_memory(cert.z_star, system.factor.v)
 
 
 class TestOneFactorization:
-    def test_one_svd_per_system(self, monkeypatch):
-        calls = []
-        real = maxcorr.numerics.svd
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        """Calls of the numpy factorizations, by name."""
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "qr": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
 
-        def counting(a):
-            calls.append(a)
-            return real(a)
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        for module in (maxcorr.numerics, maxcorr.lowerbound, maxcorr.tightness):
-            monkeypatch.setattr(module, "svd", counting, raising=False)
-        for joint in (mx.nonadditive_fixture(), degenerate_joint(3, 3, "zero_label", 2, True)):
-            calls.clear()
-            system = system_of(joint)
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    def test_one_eigh_per_system(self, linalg_calls):
+        for joint, lp_route in (
+            (mx.nonadditive_fixture(), False),
+            (full_support_joint(4, 3, 2, False), False),
+            (degenerate_joint(3, 3, "zero_label", 2, True), True),
+        ):
+            for name in linalg_calls:
+                linalg_calls[name] = 0
+            system = system_of(joint)  # assemble_qd(check=True)
             mx.gamma_lb_closed(system)
             mx.rho_lb(system)
             mx.minimum_norm_stationary(system)
             mx.check_tightness(system)
-            assert len(calls) == 1
+            assert linalg_calls["eigh"] == 1
+            assert linalg_calls["eigvalsh"] == 0
+            # the LP route alone orthonormalizes its basis, by one SVD
+            assert linalg_calls["svd"] == int(lp_route)
+            assert linalg_calls["qr"] == 0
 
-    def test_factor_is_the_svd_of_q(self):
+    def test_factor_is_the_eigh_of_q(self):
         system = system_of(full_support_joint(3, 3, 1, False))
-        ref = maxcorr.numerics.svd(system.q)
-        for name in ("u", "s", "vt"):
-            assert getattr(system.factor, name).tobytes() == getattr(ref, name).tobytes()
+        w, v = np.linalg.eigh(system.q)
+        assert system.factor.w.tobytes() == w.tobytes()
+        assert system.factor.v.tobytes() == v.tobytes()
 
 
 def nearly_singular_system(rel):
@@ -472,11 +486,11 @@ def nearly_singular_system(rel):
 
 class TestNearlySingularQ:
     """The rank cut RANK_TOL = 1e-10 decides the route, as it decides the
-    null basis of ``nullspace_basis``."""
+    null basis of the factor."""
 
     def test_direction_below_the_cut_takes_the_lp(self, lp_calls):
         system = nearly_singular_system(1e-12)
-        assert nullspace_basis(system.q, system.factor).shape[1] == system.spec.p
+        assert system.factor.null_basis().shape[1] == system.spec.p
         cert = mx.check_tightness(system)
         assert len(lp_calls) == 1
         # the LP also ranges along the dropped direction, so it can beat z0
@@ -484,7 +498,36 @@ class TestNearlySingularQ:
 
     def test_direction_above_the_cut_takes_the_closed_form(self, lp_calls):
         system = nearly_singular_system(1e-8)
-        assert nullspace_basis(system.q, system.factor).shape[1] == system.spec.p - 1
+        assert system.factor.null_basis().shape[1] == system.spec.p - 1
         cert = mx.check_tightness(system)
         assert lp_calls == []
         assert cert.lp_value == max(cert.h_pos, cert.h_neg)
+
+
+class TestRankParity:
+    """The eigenvalue cut |w| > RANK_TOL * max|w| decides the same rank as
+    the SVD cut of :func:`numerical_rank` on the singular values of Q."""
+
+    @staticmethod
+    def assert_same_rank(system):
+        svd_rank = numerical_rank(np.linalg.svd(system.q, compute_uv=False))
+        assert int(system.factor.kept().sum()) == svd_rank
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(2, 6),
+        m=st.integers(2, 3),
+        kind=st.sampled_from(["full", "zero_label", "copy", "sparse"]),
+        seed=st.integers(0, 2**32 - 1),
+        additive=st.booleans(),
+    )
+    def test_matches_the_svd_cut(self, p, m, kind, seed, additive):
+        if kind == "full":
+            joint = full_support_joint(p, m, seed, additive)
+        else:
+            joint = degenerate_joint(p, m, kind, seed, additive)
+        self.assert_same_rank(mx.assemble_qd(mx.pairwise_from_joint(joint), check=False))
+
+    @pytest.mark.parametrize("rel", [1e-12, 1e-8])
+    def test_matches_the_svd_cut_nearly_singular(self, rel):
+        self.assert_same_rank(nearly_singular_system(rel))
