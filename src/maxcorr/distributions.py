@@ -39,6 +39,9 @@ INPUT_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 #: Dense-table cap: m^p * 2 atoms must fit under this.
 ATOM_CAP = 2**22
+#: One-hot entries per row chunk of the count Gram (a 4 MB float32 block);
+#: below 2^24, so every chunk's float32 counts are exact.
+GRAM_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,6 @@ class AlphabetSpec:
             raise ValidationError(f"p must be an integer >= 1, got {self.p!r}")
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValidationError(f"m must be an integer >= 2, got {self.m!r}")
-        # Exact integer arithmetic; guards m^p against int64 overflow.
-        if self.m**self.p >= 2**62:
-            raise ValidationError(f"m^p = {self.m}^{self.p} overflows the state index")
 
     @property
     def n_states(self) -> int:
@@ -87,7 +87,14 @@ class AlphabetSpec:
         return sum(v * self.m**i for i, v in enumerate(x))
 
     def encode_rows(self, labels) -> np.ndarray:
-        """State indices of an (n, p) label array, the vectorized :meth:`encode`."""
+        """State indices of an (n, p) label array, the vectorized :meth:`encode`.
+
+        The indices are int64, so this needs ``m^p < 2^62``; marginal-only
+        work never encodes states and has no such limit.
+        """
+        # Exact integer arithmetic; guards m^p against int64 overflow.
+        if self.m**self.p >= 2**62:
+            raise ValidationError(f"m^p = {self.m}^{self.p} overflows the state index")
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 2 or labels.shape[1] != self.p:
             raise LabelOutOfRange(f"expected {self.p} labels per row, got shape {labels.shape}")
@@ -376,28 +383,58 @@ def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
     """Empirical pairwise marginals of a dataset.
 
     Under the dense cap this routes through the empirical joint, so it agrees
-    with ``pairwise_from_joint(empirical_joint(data))`` bit for bit; above the
-    cap the same counts are accumulated pairwise without the joint table.
+    with ``pairwise_from_joint(empirical_joint(data))`` bit for bit.
+
+    Above the cap every table is read off one integer count Gram: with ``W``
+    the (n, pm) one-hot matrix of the features, ``G = W'W`` holds the pair
+    counts in its off-diagonal blocks and the label counts on its diagonal,
+    and ``W'y`` the label counts with ``Y = 1``.  The counts are exact (see
+    :func:`_pairwise_counts`), so each table is an integer count divided by
+    ``n``, the value a per-pair ``np.bincount`` gives.  The rows are taken
+    in chunks of about ``GRAM_CHUNK`` one-hot entries, so the extra memory
+    is ``G`` plus a few MB whatever ``n``.
     """
     spec = data.spec
     if spec.n_atoms <= ATOM_CAP:
         return pairwise_from_joint(empirical_joint(data))
 
     p, m, n = spec.p, spec.m, data.n
-    x = data.rows[:, :p]
-    y = data.rows[:, p]
-    px = np.zeros((p, m))
-    xy = np.zeros((p, m, 2))
-    for i in range(p):
-        px[i] = np.bincount(x[:, i], minlength=m) / n
-        xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
-    xx = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            tab = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m) / n
-            xx[(i, j)] = tab
-            xx[(j, i)] = tab.T
+    gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
+    counts = np.diag(gram)
+    px = counts.reshape(p, m) / n
+    xy = np.stack([counts - wy, wy], axis=1).reshape(p, m, 2) / n
+    blocks = (gram / n).reshape(p, m, p, m)
+    xx = {(i, j): blocks[i, :, j] for i in range(p) for j in range(p) if i != j}
     return PairwiseMarginalSet(spec, xx, xy, px)
+
+
+def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
+    """``(W'W, W'y)`` as int64 for (n, p) labels ``x`` in 0..m-1 and n
+    binary ``y``, where row r of ``W`` is the one-hot vector of ``x[r]``.
+
+    ``W`` is built as float32 for ``GRAM_CHUNK // pm`` rows at a time, in
+    one buffer whose ones are cleared again after each chunk.  Each chunk's
+    products are exact: every entry is an integer count no larger than the
+    chunk's row count, which stays below 2^24.
+    """
+    n, p = x.shape
+    pm = p * m
+    rows = max(1, GRAM_CHUNK // pm)
+    offsets = np.arange(p) * m
+    yf = np.asarray(y, dtype=np.float32)
+    gram = np.zeros((pm, pm), dtype=np.int64)
+    wy = np.zeros(pm, dtype=np.int64)
+    buf = np.zeros(min(rows, n) * pm, dtype=np.float32)
+    for lo in range(0, n, rows):
+        hot = x[lo : lo + rows] + offsets
+        k = len(hot)
+        hot += (np.arange(k) * pm)[:, None]  # flat index of each one in W
+        buf[hot] = 1.0
+        w = buf[: k * pm].reshape(k, pm)
+        np.add(gram, w.T @ w, out=gram, casting="unsafe")
+        np.add(wy, yf[lo : lo + rows] @ w, out=wy, casting="unsafe")
+        buf[hot] = 0.0
+    return gram, wy
 
 
 def conditional_expectation(joint: DiscreteJoint) -> ConditionalTable:

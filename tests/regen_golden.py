@@ -92,6 +92,9 @@ CASES = {
     # marginal-only: a dataset above the dense cap
     "lower_bound_wide": ["lower-bound", "--data", "wide_p22_m2.csv"],
     "check_tight_wide": ["check-tight", "--data", "wide_p22_m2.csv"],
+    # marginal-only past the int64 state index: 2^64 states
+    "lower_bound_wide_p64": ["lower-bound", "--data", "wide_p64_m2.csv"],
+    "check_tight_wide_p64": ["check-tight", "--data", "wide_p64_m2.csv"],
     "lower_bound_data": ["lower-bound", "--data", "nonadditive_data.csv", "--tol", "1e-6"],
     "check_tight_tol": ["check-tight", "--joint", "random_3x3.csv", "--tol", "1e-6"],
     "oracle_generic": ["oracle", "--generic", "generic.csv"],
@@ -194,16 +197,17 @@ def write_inputs():
     data = mx.sample_dataset(mx.nonadditive_fixture(), n=200, seed=0)
     write_dataset_csv(data, INPUTS / "nonadditive_data.csv")
 
-    # p=22, m=2, 300 rows: features copy a shared binary latent with
-    # per-feature strength, and Y leans on the latent.
-    rng = np.random.default_rng(22)
-    n, p = 300, 22
-    latent = rng.integers(0, 2, size=n)
-    copy = rng.uniform(size=(n, p)) < rng.uniform(0.3, 0.8, size=p)
-    x = np.where(copy, latent[:, None], rng.integers(0, 2, size=(n, p)))
-    y = (rng.uniform(size=n) < 0.25 + 0.5 * latent).astype(int)
-    write_dataset_csv(mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, y])),
-                      INPUTS / "wide_p22_m2.csv")  # fmt: skip
+    # p=22 and p=64, m=2, 300 rows: features copy a shared binary latent
+    # with per-feature strength, and Y leans on the latent.
+    for p in (22, 64):
+        rng = np.random.default_rng(p)
+        n = 300
+        latent = rng.integers(0, 2, size=n)
+        copy = rng.uniform(size=(n, p)) < rng.uniform(0.3, 0.8, size=p)
+        x = np.where(copy, latent[:, None], rng.integers(0, 2, size=(n, p)))
+        y = (rng.uniform(size=n) < 0.25 + 0.5 * latent).astype(int)
+        write_dataset_csv(mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, y])),
+                          INPUTS / f"wide_p{p}_m2.csv")  # fmt: skip
 
     (INPUTS / "generic.csv").write_text("x,y,prob\n0,0,0.5\n1,1,0.25\n2,0,0.25\n")
     (INPUTS / "moments_3.json").write_text(

@@ -110,6 +110,17 @@ class TestLowerBound:
         assert code == 0
         assert 0.0 <= report["results"]["rho_lb"] <= 1.0
 
+    def test_marginals_beyond_the_state_index(self, capsys, tmp_path):
+        rng = np.random.default_rng(40)
+        x = rng.integers(0, 3, size=(500, 40))  # 3^40 states: past 2^62
+        y = (x[:, 0] + rng.integers(0, 2, size=500)) % 2
+        data = mx.Dataset(mx.AlphabetSpec(40, 3), np.column_stack([x, y]))
+        marginals = mx.pairwise_from_dataset(data)
+        write_marginals_json(marginals, tmp_path / "wide.json")
+        code, report, _ = run(capsys, ["lower-bound", "--marginals", str(tmp_path / "wide.json")])
+        assert code == 0
+        assert report["results"]["rho_lb"] == mx.rho_lb(mx.assemble_qd(marginals))
+
     def test_extremes(self, capsys, files):
         _, product, _ = run(capsys, ["lower-bound", "--joint", files["product.csv"]])
         assert product["results"]["rho_lb"] == pytest.approx(0.0, abs=1e-9)
@@ -182,6 +193,11 @@ class TestProbeCommand:
         )
         assert code == 0
         assert report["results"]["fraction_tight"] == 1.0
+
+    def test_beyond_the_dense_cap_is_a_parse_error(self, capsys):
+        code = main(["probe-uniform", "--p", "60", "--m", "3", "--eps", "0.1"])
+        assert code == 2
+        assert "exceed the dense cap" in capsys.readouterr().err
 
 
 class TestErrorContract:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
-from maxcorr.distributions import ATOM_CAP, empirical_joint
+import maxcorr.distributions as distributions
+from maxcorr.distributions import ATOM_CAP, GRAM_CHUNK, _pairwise_counts, empirical_joint
 from maxcorr.errors import (
     AtomCapExceeded,
     DuplicateEntry,
@@ -18,7 +21,7 @@ from maxcorr.errors import (
 )
 from maxcorr.numerics import LinearProgram, solve_lp
 
-from conftest import legacy_validate_marginals
+from conftest import legacy_pairwise_from_dataset, legacy_validate_marginals
 
 
 class TestAlphabetSpec:
@@ -44,6 +47,14 @@ class TestAlphabetSpec:
     def test_dense_cap(self):
         spec = mx.AlphabetSpec(p=25, m=2)  # 2^26 atoms
         assert spec.n_atoms > ATOM_CAP
+        with pytest.raises(AtomCapExceeded):
+            spec.require_dense()
+
+    def test_many_features_construct_but_encode_no_states(self):
+        spec = mx.AlphabetSpec(p=200, m=5)  # 5^200 states: marginal-only
+        assert spec.pm == 1000
+        with pytest.raises(ValidationError, match="overflows the state index"):
+            spec.encode_rows(np.zeros((1, 200), dtype=int))
         with pytest.raises(AtomCapExceeded):
             spec.require_dense()
 
@@ -151,12 +162,77 @@ class TestDatasets:
         assert np.abs(sampled.xy - exact.xy).max() < 0.1
         assert np.abs(sampled.xx[(0, 1)] - exact.xx[(0, 1)]).max() < 0.1
 
+    def test_above_the_cap_matches_the_pair_loop(self):
+        rng = np.random.default_rng(22)
+        n, p = 700, 22
+        latent = rng.integers(0, 2, size=n)
+        copy = rng.uniform(size=(n, p)) < rng.uniform(0.3, 0.8, size=p)
+        x = np.where(copy, latent[:, None], rng.integers(0, 2, size=(n, p)))
+        data = mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, latent]))
+        assert data.spec.n_atoms > ATOM_CAP
+        got, want = mx.pairwise_from_dataset(data), legacy_pairwise_from_dataset(data)
+        assert np.array_equal(got.px, want.px)
+        assert np.array_equal(got.xy, want.xy)
+        assert list(got.xx) == list(want.xx)
+        for key, tab in want.xx.items():
+            assert np.array_equal(got.xx[key], tab)
+
     def test_rejects_empty_and_bad_labels(self):
         spec = mx.AlphabetSpec(1, 2)
         with pytest.raises(ValidationError):
             mx.Dataset(spec, np.zeros((0, 2), dtype=int))
         with pytest.raises(LabelOutOfRange):
             mx.Dataset(spec, np.array([[5, 0]]))
+
+
+def gram_tables(data):
+    """px, xy and the xx tables read off ``_pairwise_counts``: diag(G)/n,
+    [diag(G) - W'y, W'y]/n and the blocks of G/n."""
+    p, m, n = data.spec.p, data.spec.m, data.n
+    gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
+    assert gram.dtype == wy.dtype == np.int64
+    assert np.array_equal(gram, gram.T)
+    counts = np.diag(gram)
+    blocks = (gram / n).reshape(p, m, p, m)
+    xx = {(i, j): blocks[i, :, j] for i in range(p) for j in range(p) if i != j}
+    return counts.reshape(p, m) / n, np.stack([counts - wy, wy], axis=1).reshape(p, m, 2) / n, xx
+
+
+def assert_gram_matches_the_loop(data):
+    px, xy, xx = gram_tables(data)
+    want = legacy_pairwise_from_dataset(data)
+    assert np.array_equal(px, want.px)
+    assert np.array_equal(xy, want.xy)
+    for key, tab in want.xx.items():
+        assert np.array_equal(xx[key], tab)
+
+
+class TestGramCounts:
+    """The chunked count Gram gives the pair loop's tables bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 8),
+        m=st.integers(2, 5),
+        chunk=st.integers(1, 8),
+        n=st.integers(1, 27),
+        seed=st.integers(0, 2**32 - 1),
+        y_kind=st.sampled_from(["random", "zeros", "ones"]),
+    )
+    def test_matches_the_loop_across_chunks(self, p, m, chunk, n, seed, y_kind):
+        rng = np.random.default_rng(seed)
+        tops = rng.integers(1, m + 1, size=p)  # feature i never takes labels >= tops[i]
+        x = (rng.uniform(size=(n, p)) * tops).astype(np.int64)
+        y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n), "ones": np.ones(n)}
+        data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y[y_kind]]))
+        with mock.patch.object(distributions, "GRAM_CHUNK", chunk * p * m):  # `chunk` rows each
+            assert_gram_matches_the_loop(data)
+
+    def test_matches_the_loop_past_two_full_size_chunks(self):
+        p, m = 8, 5
+        n = 2 * (GRAM_CHUNK // (p * m)) + 5
+        joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=3, alpha=0.3)
+        assert_gram_matches_the_loop(mx.sample_dataset(joint, n=n, seed=3))
 
 
 class TestConditionalExpectation:

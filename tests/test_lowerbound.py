@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,8 @@ from maxcorr.errors import (
 )
 from maxcorr.lowerbound import QdSystem
 from maxcorr.numerics import numerical_rank, pseudoinverse
+
+from conftest import legacy_pairwise_from_dataset
 
 
 def system_of(joint):
@@ -265,3 +269,29 @@ class TestDesignSystem:
             lhs = mx.lsq_objective(design, z) / data.n
             rhs = float(z @ system.q @ z - system.d @ z + 0.25)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestManyFeatures:
+    """The marginal-only route at p in the hundreds: 5^200 states, pm = 1000."""
+
+    def test_bound_and_certificate_of_a_wide_dataset(self):
+        rng = np.random.default_rng(200)
+        n, p, m = 20_000, 200, 5
+        latent = rng.integers(0, m, size=n)
+        copy = rng.uniform(size=(n, p)) < rng.uniform(0.3, 0.8, size=p)
+        x = np.where(copy, latent[:, None], rng.integers(0, m, size=(n, p)))
+        y = rng.uniform(size=n) < 0.2 + 0.6 * latent / (m - 1)
+        data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y]))
+        tracemalloc.start()
+        try:
+            marginals = mx.pairwise_from_dataset(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # G, one 4 MB chunk and the tables; a one-hot of all rows would be 160 MB
+        assert peak < 64 * 2**20
+        want = legacy_pairwise_from_dataset(data).block_matrix()
+        assert np.array_equal(marginals.block_matrix(), want)
+        system = mx.assemble_qd(marginals)
+        assert 0.0 <= mx.rho_lb(system) <= 1.0
+        assert mx.check_tightness(system).verdict in ("Tight", "NotTight")
