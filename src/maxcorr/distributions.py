@@ -42,6 +42,11 @@ ATOM_CAP = 2**22
 #: One-hot entries per row chunk of the count Gram (a 4 MB float32 block);
 #: below 2^24, so every chunk's float32 counts are exact.
 GRAM_CHUNK = 2**20
+#: Largest m for which the count Gram replaces the pair loop above the cap.
+#: Per row the Gram does (pm)^2 multiply-adds and the loop p^2 / 2 bincount
+#: steps, so the loop wins once m grows; on one BLAS thread they break even
+#: near m = 7 at p = 8 and near m = 16 at p = 12.
+GRAM_MAX_M = 6
 
 
 @dataclass(frozen=True)
@@ -385,18 +390,23 @@ def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
     Under the dense cap this routes through the empirical joint, so it agrees
     with ``pairwise_from_joint(empirical_joint(data))`` bit for bit.
 
-    Above the cap every table is read off one integer count Gram: with ``W``
-    the (n, pm) one-hot matrix of the features, ``G = W'W`` holds the pair
-    counts in its off-diagonal blocks and the label counts on its diagonal,
-    and ``W'y`` the label counts with ``Y = 1``.  The counts are exact (see
-    :func:`_pairwise_counts`), so each table is an integer count divided by
-    ``n``, the value a per-pair ``np.bincount`` gives.  The rows are taken
-    in chunks of about ``GRAM_CHUNK`` one-hot entries, so the extra memory
-    is ``G`` plus a few MB whatever ``n``.
+    Above the cap, for ``m <= GRAM_MAX_M``, every table is read off one
+    count Gram: with ``W`` the (n, pm) one-hot matrix of the features,
+    ``G = W'W`` holds the pair counts in its off-diagonal blocks and the
+    label counts on its diagonal, and ``W'y`` the label counts with
+    ``Y = 1``.  The counts are exact (see :func:`_pairwise_counts`), so each
+    table is an integer count divided by ``n``, the value a per-pair
+    ``np.bincount`` gives.  The rows are taken in chunks of about
+    ``GRAM_CHUNK`` one-hot entries, so the extra memory is ``G`` plus a few
+    MB whatever ``n``.  For larger ``m`` the Gram's (pm)^2 work per row
+    outgrows the pair loop's, and the tables are counted one
+    ``np.bincount`` per feature and per pair (:func:`_pairwise_by_pair`).
     """
     spec = data.spec
     if spec.n_atoms <= ATOM_CAP:
         return pairwise_from_joint(empirical_joint(data))
+    if spec.m > GRAM_MAX_M:
+        return _pairwise_by_pair(data)
 
     p, m, n = spec.p, spec.m, data.n
     gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
@@ -409,32 +419,49 @@ def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
 
 
 def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
-    """``(W'W, W'y)`` as int64 for (n, p) labels ``x`` in 0..m-1 and n
-    binary ``y``, where row r of ``W`` is the one-hot vector of ``x[r]``.
+    """``(W'W, W'y)`` for (n, p) labels ``x`` in 0..m-1 and n binary ``y``,
+    where row r of ``W`` is the one-hot vector of ``x[r]``.
 
-    ``W`` is built as float32 for ``GRAM_CHUNK // pm`` rows at a time, in
-    one buffer whose ones are cleared again after each chunk.  Each chunk's
-    products are exact: every entry is an integer count no larger than the
-    chunk's row count, which stays below 2^24.
+    ``W`` is built as float32 for ``GRAM_CHUNK // pm`` rows at a time, and
+    the chunk products are summed in float64.  Every sum is exact: each
+    chunk's entries are integer counts no larger than its row count, which
+    stays below 2^24, and the totals are integers no larger than n.
     """
     n, p = x.shape
     pm = p * m
     rows = max(1, GRAM_CHUNK // pm)
     offsets = np.arange(p) * m
     yf = np.asarray(y, dtype=np.float32)
-    gram = np.zeros((pm, pm), dtype=np.int64)
-    wy = np.zeros(pm, dtype=np.int64)
-    buf = np.zeros(min(rows, n) * pm, dtype=np.float32)
+    gram = np.zeros((pm, pm))
+    wy = np.zeros(pm)
     for lo in range(0, n, rows):
         hot = x[lo : lo + rows] + offsets
-        k = len(hot)
-        hot += (np.arange(k) * pm)[:, None]  # flat index of each one in W
-        buf[hot] = 1.0
-        w = buf[: k * pm].reshape(k, pm)
-        np.add(gram, w.T @ w, out=gram, casting="unsafe")
-        np.add(wy, yf[lo : lo + rows] @ w, out=wy, casting="unsafe")
-        buf[hot] = 0.0
+        w = np.zeros((len(hot), pm), dtype=np.float32)
+        w[np.arange(len(hot))[:, None], hot] = 1.0
+        gram += w.T @ w
+        wy += yf[lo : lo + rows] @ w
     return gram, wy
+
+
+def _pairwise_by_pair(data: Dataset) -> PairwiseMarginalSet:
+    """Empirical pairwise marginals, one ``np.bincount`` per feature and per
+    feature pair."""
+    spec = data.spec
+    p, m, n = spec.p, spec.m, data.n
+    x = data.rows[:, :p]
+    y = data.rows[:, p]
+    px = np.zeros((p, m))
+    xy = np.zeros((p, m, 2))
+    for i in range(p):
+        px[i] = np.bincount(x[:, i], minlength=m) / n
+        xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
+    xx = {}
+    for i in range(p):
+        for j in range(i + 1, p):
+            tab = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m) / n
+            xx[(i, j)] = tab
+            xx[(j, i)] = tab.T
+    return PairwiseMarginalSet(spec, xx, xy, px)
 
 
 def conditional_expectation(joint: DiscreteJoint) -> ConditionalTable:

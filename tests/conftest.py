@@ -204,33 +204,6 @@ def legacy_validate_marginals(marginals, tol=INPUT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# pair-by-pair dataset counting: the loop the count Gram replaced, kept as
-# its parity oracle
-# ---------------------------------------------------------------------------
-
-
-def legacy_pairwise_from_dataset(data):
-    """Empirical pairwise marginals, one ``np.bincount`` per feature and per
-    feature pair, at any size."""
-    spec = data.spec
-    p, m, n = spec.p, spec.m, data.n
-    x = data.rows[:, :p]
-    y = data.rows[:, p]
-    px = np.zeros((p, m))
-    xy = np.zeros((p, m, 2))
-    for i in range(p):
-        px[i] = np.bincount(x[:, i], minlength=m) / n
-        xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
-    xx = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            tab = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m) / n
-            xx[(i, j)] = tab
-            xx[(j, i)] = tab.T
-    return mx.PairwiseMarginalSet(spec, xx, xy, px)
-
-
-# ---------------------------------------------------------------------------
 # csv-module readers and writer: the row-by-row route the numpy parsers
 # replaced, kept as their parity oracle
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import maxcorr as mx
 import maxcorr.distributions as distributions
-from maxcorr.distributions import ATOM_CAP, GRAM_CHUNK, _pairwise_counts, empirical_joint
+from maxcorr.distributions import ATOM_CAP, GRAM_CHUNK, GRAM_MAX_M, _pairwise_by_pair, empirical_joint
 from maxcorr.errors import (
     AtomCapExceeded,
     DuplicateEntry,
@@ -21,7 +21,7 @@ from maxcorr.errors import (
 )
 from maxcorr.numerics import LinearProgram, solve_lp
 
-from conftest import legacy_pairwise_from_dataset, legacy_validate_marginals
+from conftest import legacy_validate_marginals
 
 
 class TestAlphabetSpec:
@@ -170,12 +170,19 @@ class TestDatasets:
         x = np.where(copy, latent[:, None], rng.integers(0, 2, size=(n, p)))
         data = mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, latent]))
         assert data.spec.n_atoms > ATOM_CAP
-        got, want = mx.pairwise_from_dataset(data), legacy_pairwise_from_dataset(data)
-        assert np.array_equal(got.px, want.px)
-        assert np.array_equal(got.xy, want.xy)
-        assert list(got.xx) == list(want.xx)
-        for key, tab in want.xx.items():
-            assert np.array_equal(got.xx[key], tab)
+        assert_same_tables(mx.pairwise_from_dataset(data), _pairwise_by_pair(data))
+
+    @pytest.mark.parametrize("m", [GRAM_MAX_M + 1, 12])
+    def test_many_labels_above_the_cap_count_pair_by_pair(self, m):
+        data = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(3, m), seed=m), n=900, seed=m)
+        via_joint = mx.pairwise_from_joint(empirical_joint(data))
+        gram = mock.patch.object(distributions, "_pairwise_counts", side_effect=AssertionError("Gram taken"))
+        with mock.patch.object(distributions, "ATOM_CAP", 0), gram:
+            via_loop = mx.pairwise_from_dataset(data)
+        assert_allclose(via_loop.px, via_joint.px, atol=0)
+        assert_allclose(via_loop.xy, via_joint.xy, atol=0)
+        for key in via_joint.xx:
+            assert_allclose(via_loop.xx[key], via_joint.xx[key], atol=0)
 
     def test_rejects_empty_and_bad_labels(self):
         spec = mx.AlphabetSpec(1, 2)
@@ -185,26 +192,19 @@ class TestDatasets:
             mx.Dataset(spec, np.array([[5, 0]]))
 
 
-def gram_tables(data):
-    """px, xy and the xx tables read off ``_pairwise_counts``: diag(G)/n,
-    [diag(G) - W'y, W'y]/n and the blocks of G/n."""
-    p, m, n = data.spec.p, data.spec.m, data.n
-    gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
-    assert gram.dtype == wy.dtype == np.int64
-    assert np.array_equal(gram, gram.T)
-    counts = np.diag(gram)
-    blocks = (gram / n).reshape(p, m, p, m)
-    xx = {(i, j): blocks[i, :, j] for i in range(p) for j in range(p) if i != j}
-    return counts.reshape(p, m) / n, np.stack([counts - wy, wy], axis=1).reshape(p, m, 2) / n, xx
-
-
-def assert_gram_matches_the_loop(data):
-    px, xy, xx = gram_tables(data)
-    want = legacy_pairwise_from_dataset(data)
-    assert np.array_equal(px, want.px)
-    assert np.array_equal(xy, want.xy)
+def assert_same_tables(got, want):
+    assert np.array_equal(got.px, want.px)
+    assert np.array_equal(got.xy, want.xy)
+    assert list(got.xx) == list(want.xx)
     for key, tab in want.xx.items():
-        assert np.array_equal(xx[key], tab)
+        assert np.array_equal(got.xx[key], tab)
+
+
+def via_gram(data, **patches):
+    """``pairwise_from_dataset`` on the count Gram route, whatever p and m."""
+    loop = mock.patch.object(distributions, "_pairwise_by_pair", side_effect=AssertionError("loop taken"))
+    with mock.patch.multiple(distributions, ATOM_CAP=0, GRAM_MAX_M=data.spec.m, **patches), loop:
+        return mx.pairwise_from_dataset(data)
 
 
 class TestGramCounts:
@@ -213,7 +213,7 @@ class TestGramCounts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         p=st.integers(1, 8),
-        m=st.integers(2, 5),
+        m=st.integers(2, 8),
         chunk=st.integers(1, 8),
         n=st.integers(1, 27),
         seed=st.integers(0, 2**32 - 1),
@@ -225,14 +225,15 @@ class TestGramCounts:
         x = (rng.uniform(size=(n, p)) * tops).astype(np.int64)
         y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n), "ones": np.ones(n)}
         data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y[y_kind]]))
-        with mock.patch.object(distributions, "GRAM_CHUNK", chunk * p * m):  # `chunk` rows each
-            assert_gram_matches_the_loop(data)
+        got = via_gram(data, GRAM_CHUNK=chunk * p * m)  # `chunk` rows each
+        assert_same_tables(got, _pairwise_by_pair(data))
 
     def test_matches_the_loop_past_two_full_size_chunks(self):
         p, m = 8, 5
         n = 2 * (GRAM_CHUNK // (p * m)) + 5
         joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=3, alpha=0.3)
-        assert_gram_matches_the_loop(mx.sample_dataset(joint, n=n, seed=3))
+        data = mx.sample_dataset(joint, n=n, seed=3)
+        assert_same_tables(via_gram(data), _pairwise_by_pair(data))
 
 
 class TestConditionalExpectation:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
+from maxcorr.distributions import _pairwise_by_pair
 from maxcorr.errors import (
     DegenerateY,
     DimensionMismatch,
@@ -13,8 +14,6 @@ from maxcorr.errors import (
 )
 from maxcorr.lowerbound import QdSystem
 from maxcorr.numerics import numerical_rank, pseudoinverse
-
-from conftest import legacy_pairwise_from_dataset
 
 
 def system_of(joint):
@@ -290,7 +289,7 @@ class TestManyFeatures:
             tracemalloc.stop()
         # G, one 4 MB chunk and the tables; a one-hot of all rows would be 160 MB
         assert peak < 64 * 2**20
-        want = legacy_pairwise_from_dataset(data).block_matrix()
+        want = _pairwise_by_pair(data).block_matrix()
         assert np.array_equal(marginals.block_matrix(), want)
         system = mx.assemble_qd(marginals)
         assert 0.0 <= mx.rho_lb(system) <= 1.0
