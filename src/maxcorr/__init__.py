@@ -29,6 +29,7 @@ from .distributions import (
     feasible_member,
     joint_from_arrays,
     joint_from_table,
+    marginal_deviation,
     nonadditive_fixture,
     pairwise_from_dataset,
     pairwise_from_joint,
@@ -104,6 +105,7 @@ __all__ = [
     "joint_from_arrays",
     "joint_from_table",
     "lsq_objective",
+    "marginal_deviation",
     "min_hgr_gaussian",
     "minimum_norm_stationary",
     "near_uniform_probe",

@@ -12,12 +12,18 @@ X-states are encoded in mixed radix with ``x_1`` least significant, so state
 iteration order for every table, flattening, and file in the package.
 
 Dense full-joint operations are capped at ``2 * m^p <= 2**22`` atoms; larger
-problems must stay in marginal form.
+problems must stay in marginal form.  A pairwise marginal set is stored as
+the (pm, pm) matrix ``Q = E[w w']`` of the one-hot features ``w``, capped at
+``Q_CAP`` entries, plus the ``mu^{i}`` tables; only this module knows the
+block layout of ``Q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +45,8 @@ INPUT_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 #: Dense-table cap: m^p * 2 atoms must fit under this.
 ATOM_CAP = 2**22
+#: Entries of the (pm, pm) matrix Q of a marginal set: 512 MB of float64.
+Q_CAP = 2**26
 #: One-hot entries per row chunk of the count Gram (a 4 MB float32 block);
 #: below 2^24, so every chunk's float32 counts are exact.
 GRAM_CHUNK = 2**20
@@ -82,6 +90,10 @@ class AlphabetSpec:
                 "only marginal-based operations are available at this size"
             )
 
+    def require_q(self):
+        if self.pm**2 > Q_CAP:
+            raise AtomCapExceeded(f"Q of {self.pm}^2 entries exceeds the cap {Q_CAP}")
+
     def encode(self, x) -> int:
         """Mixed-radix state index of label tuple ``x`` (x_1 least significant)."""
         x = tuple(int(v) for v in x)
@@ -123,17 +135,27 @@ class AlphabetSpec:
 
     def indicator_matrix(self) -> np.ndarray:
         """One-hot rows w_x over all states: (m^p, p*m), block i holds X_i."""
-        st = self.states()
-        w = np.zeros((self.n_states, self.pm))
-        rows = np.arange(self.n_states)
-        for i in range(self.p):
-            w[rows, i * self.m + st[:, i]] = 1.0
-        return w
+        return one_hot(self.states(), self.m)
+
+
+def one_hot(labels: np.ndarray, m: int, dtype=float) -> np.ndarray:
+    """The (n, p*m) one-hot rows of (n, p) labels in 0..m-1: block i holds X_i."""
+    n, p = labels.shape
+    w = np.zeros((n, p * m), dtype=dtype)
+    w[np.arange(n)[:, None], labels + np.arange(p) * m] = 1.0
+    return w
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
+    return a
+
+
+def _shaped(a, shape: tuple, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {a.shape}")
     return a
 
 
@@ -202,61 +224,70 @@ class Dataset:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairwiseMarginalSet:
-    """Pairwise tables mu^{ij} (all ordered i != j), mu^{i}, and univariates.
+    """Two read-only arrays: the (pm, pm) matrix Q of the separable bound,
+    ``q[i*m + k, j*m + l] = P(X_i = k, X_j = l)`` (diagonal block i is
+    ``diag(P(X_i = .))``), and ``xy[i, k, y] = P(X_i = k, Y = y)``.  ``px``
+    (``px[i, k] = P(X_i = k)``, the diagonal) and ``xx[(i, j)]`` (block
+    (i, j), every ordered i != j, row-major) are read-only views of ``q``.
 
-    ``xx[(i, j)][k, l] = P(X_i = k, X_j = l)`` for i != j (0-based);
-    ``xy[i, k, y] = P(X_i = k, Y = y)``; ``px[i, k] = P(X_i = k)``.
-
-    Construction checks shapes and finiteness only; the probabilistic
-    invariants are the business of :func:`validate_marginals`, so that
-    deliberately broken sets can be represented and diagnosed.
+    ``PairwiseMarginalSet(spec, xx, xy, px)`` scatters the tables into ``q``
+    once, :meth:`from_q` takes ``q`` itself; a ``q`` over ``Q_CAP`` entries
+    is refused before it is allocated.  Construction checks shapes and
+    finiteness only; the probabilistic invariants are the business of
+    :func:`validate_marginals`, so that broken sets can be diagnosed.
     """
 
     spec: AlphabetSpec
-    xx: dict
+    q: np.ndarray
     xy: np.ndarray
-    px: np.ndarray
 
-    def __post_init__(self):
-        p, m = self.spec.p, self.spec.m
-        xy = np.asarray(self.xy, dtype=float)
-        px = np.asarray(self.px, dtype=float)
-        if xy.shape != (p, m, 2):
-            raise ValidationError(f"xy must have shape {(p, m, 2)}, got {xy.shape}")
-        if px.shape != (p, m):
-            raise ValidationError(f"px must have shape {(p, m)}, got {px.shape}")
-        xx = {}
-        for i in range(p):
-            for j in range(p):
-                if i == j:
-                    continue
-                if (i, j) not in self.xx:
-                    raise ValidationError(f"missing pairwise table for ({i}, {j})")
-                t = np.asarray(self.xx[(i, j)], dtype=float)
-                if t.shape != (m, m):
-                    raise ValidationError(f"xx[{i},{j}] must be {m}x{m}, got {t.shape}")
-                xx[(i, j)] = _freeze(t)
-        for tab in (xy, px, *xx.values()):
-            if not np.all(np.isfinite(tab)):
-                raise ValidationError("marginal table contains non-finite entries")
-        object.__setattr__(self, "xx", xx)
+    def __init__(self, spec: AlphabetSpec, xx, xy, px):
+        p, m = spec.p, spec.m
+        spec.require_q()
+        xy, px = _shaped(xy, (p, m, 2), "xy"), _shaped(px, (p, m), "px")
+        q = np.diag(px.reshape(-1)).reshape(p, m, p, m)
+        for i, j in permutations(range(p), 2):
+            if (i, j) not in xx:
+                raise ValidationError(f"missing pairwise table for ({i}, {j})")
+            t = np.asarray(xx[(i, j)], dtype=float)
+            if t.shape != (m, m):
+                raise ValidationError(f"xx[{i},{j}] must be {m}x{m}, got {t.shape}")
+            q[i, :, j] = t
+        self._store(spec, q.reshape(p * m, p * m), xy)
+
+    @classmethod
+    def from_q(cls, spec: AlphabetSpec, q, xy) -> "PairwiseMarginalSet":
+        """The set with a copy of ``q`` as its Q: checks its shape and
+        finiteness, and that every diagonal block is diagonal."""
+        marginals = cls.__new__(cls)
+        marginals._store(spec, np.array(q, dtype=float, order="C"), xy)
+        return marginals
+
+    def _store(self, spec: AlphabetSpec, q: np.ndarray, xy):
+        p, m = spec.p, spec.m
+        q, xy = _shaped(q, (p * m, p * m), "q"), _shaped(xy, (p, m, 2), "xy")
+        if not (np.isfinite(q).all() and np.isfinite(xy).all()):
+            raise ValidationError("marginal table contains non-finite entries")
+        diagonal = q.reshape(p, m, p, m)[np.arange(p), :, np.arange(p)]
+        stray = diagonal[:, ~np.eye(m, dtype=bool)].any(axis=1)
+        if stray.any():
+            raise ValidationError(f"diagonal block {int(np.argmax(stray))} of q is not diagonal")
+        q.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "xy", _freeze(xy))
-        object.__setattr__(self, "px", _freeze(px))
 
-    def block_matrix(self) -> np.ndarray:
-        """The (pm, pm) matrix Q of the separable bound: block (i, j) is
-        mu^{ij}, so entry (i*m + k, j*m + l) is P(X_i = k, X_j = l), with the
-        diagonal convention mu^{ii} = diag(P(X_i = .))."""
+    @property
+    def px(self) -> np.ndarray:
+        return np.diagonal(self.q).reshape(self.spec.p, self.spec.m)
+
+    @cached_property
+    def xx(self) -> MappingProxyType:
         p, m = self.spec.p, self.spec.m
-        blocks = np.zeros((p, p, m, m))
-        if p > 1:
-            i, j = np.nonzero(~np.eye(p, dtype=bool))  # row-major: the order of xx
-            blocks[i, j] = np.array(list(self.xx.values()))
-        labels = np.arange(m)
-        blocks[np.arange(p)[:, None], np.arange(p)[:, None], labels, labels] = self.px
-        return blocks.transpose(0, 2, 1, 3).reshape(p * m, p * m)
+        blocks = self.q.reshape(p, m, p, m)
+        return MappingProxyType({(i, j): blocks[i, :, j] for i, j in permutations(range(p), 2)})
 
     @property
     def p_y(self) -> np.ndarray:
@@ -354,25 +385,20 @@ def pairwise_from_joint(joint: DiscreteJoint) -> PairwiseMarginalSet:
     """Exact pairwise marginals of a dense joint."""
     spec = joint.spec
     p, m = spec.p, spec.m
+    spec.require_q()
     tx = _state_tensor(spec, joint.px)
     ty = [_state_tensor(spec, joint.prob[:, y].copy()) for y in (0, 1)]
 
-    px = np.zeros((p, m))
-    xy = np.zeros((p, m, 2))
+    px, xy = np.zeros((p, m)), np.zeros((p, m, 2))
     for i in range(p):
         others = tuple(ax for ax in range(p) if ax != i)
         px[i] = tx.sum(axis=others)
         for y in (0, 1):
             xy[i, :, y] = ty[y].sum(axis=others)
 
-    xx = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            others = tuple(ax for ax in range(p) if ax not in (i, j))
-            tab = tx.sum(axis=others)  # axes come out ordered (i, j)
-            xx[(i, j)] = tab
-            xx[(j, i)] = tab.T
-    return PairwiseMarginalSet(spec, xx, xy, px)
+    pairs = combinations(range(p), 2)  # each table's axes come out ordered (i, j)
+    upper = [tx.sum(axis=tuple(ax for ax in range(p) if ax not in ij)) for ij in pairs]
+    return PairwiseMarginalSet.from_q(spec, q_from_upper(spec, upper, px), xy)
 
 
 def empirical_joint(data: Dataset) -> DiscreteJoint:
@@ -390,32 +416,28 @@ def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
     Under the dense cap this routes through the empirical joint, so it agrees
     with ``pairwise_from_joint(empirical_joint(data))`` bit for bit.
 
-    Above the cap, for ``m <= GRAM_MAX_M``, every table is read off one
-    count Gram: with ``W`` the (n, pm) one-hot matrix of the features,
-    ``G = W'W`` holds the pair counts in its off-diagonal blocks and the
-    label counts on its diagonal, and ``W'y`` the label counts with
-    ``Y = 1``.  The counts are exact (see :func:`_pairwise_counts`), so each
-    table is an integer count divided by ``n``, the value a per-pair
-    ``np.bincount`` gives.  The rows are taken in chunks of about
-    ``GRAM_CHUNK`` one-hot entries, so the extra memory is ``G`` plus a few
-    MB whatever ``n``.  For larger ``m`` the Gram's (pm)^2 work per row
-    outgrows the pair loop's, and the tables are counted one
-    ``np.bincount`` per feature and per pair (:func:`_pairwise_by_pair`).
+    Above the cap, for ``m <= GRAM_MAX_M``, ``Q`` is one count Gram over
+    ``n``: with ``W`` the (n, pm) one-hot matrix of the features, ``G = W'W``
+    holds the pair counts in its off-diagonal blocks and the label counts on
+    its diagonal, and ``W'y`` the label counts with ``Y = 1``.  The counts
+    are exact (see :func:`_pairwise_counts`), so each entry is an integer
+    count divided by ``n``, the value a per-pair ``np.bincount`` gives.  Rows
+    are taken in chunks of about ``GRAM_CHUNK`` one-hot entries, so the extra
+    memory is ``G``, its copy ``Q`` and a few MB whatever ``n``.  For larger
+    ``m`` the Gram's (pm)^2 work per row outgrows the pair loop's, and the
+    tables are counted one ``np.bincount`` per feature and per pair.
     """
     spec = data.spec
     if spec.n_atoms <= ATOM_CAP:
         return pairwise_from_joint(empirical_joint(data))
+    spec.require_q()
     if spec.m > GRAM_MAX_M:
         return _pairwise_by_pair(data)
 
     p, m, n = spec.p, spec.m, data.n
     gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
-    counts = np.diag(gram)
-    px = counts.reshape(p, m) / n
-    xy = np.stack([counts - wy, wy], axis=1).reshape(p, m, 2) / n
-    blocks = (gram / n).reshape(p, m, p, m)
-    xx = {(i, j): blocks[i, :, j] for i in range(p) for j in range(p) if i != j}
-    return PairwiseMarginalSet(spec, xx, xy, px)
+    xy = np.stack([np.diag(gram) - wy, wy], axis=1).reshape(p, m, 2) / n
+    return PairwiseMarginalSet.from_q(spec, np.divide(gram, n, out=gram), xy)
 
 
 def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
@@ -430,14 +452,11 @@ def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
     n, p = x.shape
     pm = p * m
     rows = max(1, GRAM_CHUNK // pm)
-    offsets = np.arange(p) * m
     yf = np.asarray(y, dtype=np.float32)
     gram = np.zeros((pm, pm))
     wy = np.zeros(pm)
     for lo in range(0, n, rows):
-        hot = x[lo : lo + rows] + offsets
-        w = np.zeros((len(hot), pm), dtype=np.float32)
-        w[np.arange(len(hot))[:, None], hot] = 1.0
+        w = one_hot(x[lo : lo + rows], m, np.float32)
         gram += w.T @ w
         wy += yf[lo : lo + rows] @ w
     return gram, wy
@@ -445,23 +464,40 @@ def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
 
 def _pairwise_by_pair(data: Dataset) -> PairwiseMarginalSet:
     """Empirical pairwise marginals, one ``np.bincount`` per feature and per
-    feature pair."""
+    feature pair; the caller checks ``Q_CAP``."""
     spec = data.spec
     p, m, n = spec.p, spec.m, data.n
     x = data.rows[:, :p]
     y = data.rows[:, p]
-    px = np.zeros((p, m))
-    xy = np.zeros((p, m, 2))
+    px, xy = np.zeros((p, m)), np.zeros((p, m, 2))
     for i in range(p):
         px[i] = np.bincount(x[:, i], minlength=m) / n
         xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
-    xx = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            tab = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m) / n
-            xx[(i, j)] = tab
-            xx[(j, i)] = tab.T
-    return PairwiseMarginalSet(spec, xx, xy, px)
+    pairs = combinations(range(p), 2)
+    upper = [np.bincount(x[:, i] * m + x[:, j], minlength=m * m) / n for i, j in pairs]
+    return PairwiseMarginalSet.from_q(spec, q_from_upper(spec, upper, px), xy)
+
+
+def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:
+    """The matrix Q of px and the tables ``mu^{ij}``, i < j, stacked as
+    ``upper`` in ``np.triu_indices(p, 1)`` order; block (j, i) is the
+    transpose of block (i, j)."""
+    spec.require_q()
+    p, m = spec.p, spec.m
+    upper = np.reshape(upper, (-1, m, m))
+    q = np.diag(np.reshape(px, -1).astype(float)).reshape(p, m, p, m)
+    i, j = np.triu_indices(p, 1)
+    q[i, :, j] = upper
+    q[j, :, i] = np.swapaxes(upper, 1, 2)
+    return q.reshape(p * m, p * m)
+
+
+def marginal_deviation(a: PairwiseMarginalSet, b: PairwiseMarginalSet) -> float:
+    """Largest entrywise difference of two marginal sets over their ``xy``
+    tables and their pairwise tables (the off-diagonal blocks of Q)."""
+    p, m = a.spec.p, a.spec.m
+    blocks = np.abs(a.q - b.q).reshape(p, m, p, m).max(axis=(1, 3))[~np.eye(p, dtype=bool)]
+    return max(float(np.abs(a.xy - b.xy).max()), float(blocks.max(initial=0.0)))
 
 
 def conditional_expectation(joint: DiscreteJoint) -> ConditionalTable:
@@ -490,12 +526,10 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
     """
     spec = marginals.spec
     p, m = spec.p, spec.m
-    px, xy, xx = marginals.px, marginals.xy, marginals.xx
-    # xx[(i, j)] for i != j in row-major order sits at i * (p - 1) + j - (j > i)
-    tables = np.array(list(xx.values())).reshape(-1, m, m)
+    q, px, xy = marginals.q, marginals.px, marginals.xy
+    blocks = q.reshape(p, m, p, m)  # blocks[i, :, j] is xx[(i, j)]
     i_up, j_up = np.triu_indices(p, 1)
-    upper = tables[i_up * (p - 1) + j_up - 1]  # xx[(i, j)] for i < j, in (i, j) order
-    lower = tables[j_up * (p - 1) + i_up]  # xx[(j, i)] for the same pairs
+    upper = blocks[i_up, :, j_up]  # xx[(i, j)] for i < j, in (i, j) order
     violations = []
     warnings = []
 
@@ -512,25 +546,25 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
         if k < 2 * p:
             name, tab = f"{('px', 'xy')[k % 2]}[{k // 2}]", (px, xy)[k % 2][k // 2]
         else:
-            i, j = int(i_up[k - 2 * p]), int(j_up[k - 2 * p])
-            name, tab = f"xx[{i},{j}]", xx[(i, j)]
+            name, tab = f"xx[{i_up[k - 2 * p]},{j_up[k - 2 * p]}]", upper[k - 2 * p]
         if negative[k]:
             violations.append(f"{name}: negative entry {tab.min():.3e}")
         if off_sum[k]:
             violations.append(f"{name}: sums to {tab.sum():.12f}, not 1")
 
-    untransposed = ~(np.abs(upper - lower.transpose(0, 2, 1)) <= tol).all(axis=(1, 2))
-    for i, j in zip(i_up[untransposed].tolist(), j_up[untransposed].tolist()):
+    asymmetric = ~(np.abs(q - q.T) <= tol).reshape(p, m, p, m).all(axis=(1, 3))
+    for i, j in zip(*np.nonzero(np.triu(asymmetric, 1))):
         violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
 
     # Row sums of every table must reproduce the univariate marginals: for
     # each i, xy[i] first, then xx[(i, j)] for j != i.  Column 0 of
-    # ``off_rows`` is xy[i] and column 1 + c is the c-th j != i.
-    pair_rows = tables.sum(axis=2).reshape(p, p - 1, m)
+    # ``off_rows`` is xy[i] and column 1 + j is block (i, j) of Q; the
+    # diagonal block diag(px[i]) sums to px[i] exactly, so it never shows.
+    pair_rows = blocks.sum(axis=3).transpose(0, 2, 1)
     rows = np.concatenate([xy.sum(axis=2)[:, None], pair_rows], axis=1)
     off_rows = ~(np.abs(rows - px[:, None, :]) <= tol).all(axis=2)
     for i, c in zip(*(idx.tolist() for idx in np.nonzero(off_rows))):
-        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1 + (c > i)}]"
+        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1}]"
         violations.append(f"{table} row sums disagree with px[{i}]")
 
     py = xy.sum(axis=1)  # (p, 2)
@@ -557,39 +591,20 @@ def feasible_member(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -> D
     if not report.ok:
         raise InconsistentMarginals("; ".join(report.violations))
 
-    n_states, n_atoms = spec.n_states, spec.n_atoms
-    states = spec.states()
-    rows, rhs = [], []
-
-    def atom_cols(mask_states, y=None):
-        cols = np.zeros(n_atoms)
-        for s in np.nonzero(mask_states)[0]:
-            if y is None:
-                cols[2 * s] = cols[2 * s + 1] = 1.0
-            else:
-                cols[2 * s + y] = 1.0
-        return cols
-
-    for i in range(spec.p):
-        for j in range(i + 1, spec.p):
-            for k in range(spec.m):
-                for l in range(spec.m):
-                    mask = (states[:, i] == k) & (states[:, j] == l)
-                    rows.append(atom_cols(mask))
-                    rhs.append(marginals.xx[(i, j)][k, l])
-    for i in range(spec.p):
-        for k in range(spec.m):
-            mask = states[:, i] == k
-            for y in (0, 1):
-                rows.append(atom_cols(mask, y))
-                rhs.append(marginals.xy[i, k, y])
-    rows.append(np.ones(n_atoms))
-    rhs.append(1.0)
-
+    # Equality rows: each entry of xx[(i, j)], i < j (both atoms of a state),
+    # each entry of xy[i] (one atom), and the total mass (the last row).
+    p, m, n_states = spec.p, spec.m, spec.n_states
+    w = spec.indicator_matrix().reshape(n_states, p, m)
+    i, j = np.triu_indices(p, 1)
+    pairs = (w[:, i, :, None] * w[:, j, None, :]).reshape(n_states, -1).T
+    a_eq = np.ones((len(pairs) + 2 * p * m + 1, spec.n_atoms))
+    a_eq[: len(pairs), 0::2] = a_eq[: len(pairs), 1::2] = pairs
+    a_eq[len(pairs) : -1] = np.kron(w.reshape(n_states, -1).T, np.eye(2))
+    upper = marginals.q.reshape(p, m, p, m)[i, :, j]
     lp = LinearProgram(
-        objective=np.zeros(n_atoms),
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        objective=np.zeros(spec.n_atoms),
+        a_eq=a_eq,
+        b_eq=np.concatenate([upper.reshape(-1), marginals.xy.reshape(-1), [1.0]]),
         bounds=(0.0, None),
     )
     status, point, _ = solve_lp(lp)

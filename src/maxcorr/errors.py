@@ -38,7 +38,7 @@ class InvalidEpsilon(ValidationError):
 
 
 class AtomCapExceeded(ValidationError):
-    """Full-joint operation requested beyond the dense-table atom cap."""
+    """A dense array beyond its cap: a full joint over ``ATOM_CAP`` atoms, or Q over ``Q_CAP``."""
 
 
 class InconsistentMarginals(ValidationError):

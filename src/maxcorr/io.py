@@ -25,6 +25,7 @@ passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 
@@ -36,6 +37,7 @@ from .distributions import (
     DiscreteJoint,
     PairwiseMarginalSet,
     joint_from_arrays,
+    q_from_upper,
 )
 from .errors import ValidationError
 from .gaussian import GaussianMoments
@@ -147,13 +149,8 @@ def read_generic_csv(path) -> GenericJoint:
 
 def marginals_to_json_obj(marginals: PairwiseMarginalSet) -> dict:
     spec = marginals.spec
-    xx = {}
-    for i in range(spec.p):
-        for j in range(i + 1, spec.p):
-            xx[f"{i + 1},{j + 1}"] = [float(v) for v in marginals.xx[(i, j)].reshape(-1)]
-    xy = {
-        str(i + 1): [float(v) for v in marginals.xy[i].reshape(-1)] for i in range(spec.p)
-    }
+    xx = {f"{i + 1},{j + 1}": t.reshape(-1).tolist() for (i, j), t in marginals.xx.items() if i < j}
+    xy = {str(i + 1): t.reshape(-1).tolist() for i, t in enumerate(marginals.xy)}
     return {"p": spec.p, "m": spec.m, "xx": xx, "xy": xy}
 
 
@@ -166,28 +163,20 @@ def marginals_from_json_obj(obj: dict) -> PairwiseMarginalSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed marginals object: {exc}") from exc
     spec = AlphabetSpec(p, m)
-    xy = np.zeros((p, m, 2))
-    for i in range(p):
-        key = str(i + 1)
-        if key not in xy_raw:
-            raise ValidationError(f"marginals missing xy table for feature {key}")
-        tab = np.asarray(xy_raw[key], dtype=float)
-        if tab.size != 2 * m:
-            raise ValidationError(f"xy[{key}] must have {2 * m} entries")
-        xy[i] = tab.reshape(m, 2)
-    xx = {}
-    for i in range(p):
-        for j in range(i + 1, p):
-            key = f"{i + 1},{j + 1}"
-            if key not in xx_raw:
-                raise ValidationError(f"marginals missing xx table for pair {key}")
-            tab = np.asarray(xx_raw[key], dtype=float)
-            if tab.size != m * m:
-                raise ValidationError(f"xx[{key}] must have {m * m} entries")
-            xx[(i, j)] = tab.reshape(m, m)
-            xx[(j, i)] = xx[(i, j)].T
-    px = xy.sum(axis=2)
-    return PairwiseMarginalSet(spec, xx, xy, px)
+    xy = np.array([_json_table(xy_raw, "xy", "feature", str(i + 1), m, 2) for i in range(p)])
+    spec.require_q()
+    pairs = itertools.combinations(range(p), 2)
+    upper = [_json_table(xx_raw, "xx", "pair", f"{i + 1},{j + 1}", m, m) for i, j in pairs]
+    return PairwiseMarginalSet.from_q(spec, q_from_upper(spec, upper, xy.sum(axis=2)), xy)
+
+
+def _json_table(raw: dict, name: str, what: str, key: str, rows: int, cols: int) -> np.ndarray:
+    if key not in raw:
+        raise ValidationError(f"marginals missing {name} table for {what} {key}")
+    tab = np.asarray(raw[key], dtype=float)
+    if tab.size != rows * cols:
+        raise ValidationError(f"{name}[{key}] must have {rows * cols} entries")
+    return tab.reshape(rows, cols)
 
 
 def read_marginals_json(path) -> PairwiseMarginalSet:

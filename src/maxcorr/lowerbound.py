@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import AlphabetSpec, Dataset, PairwiseMarginalSet, validate_marginals
+from .distributions import AlphabetSpec, Dataset, PairwiseMarginalSet, one_hot, validate_marginals
 from .errors import (
     DegenerateY,
     DimensionMismatch,
@@ -114,10 +114,9 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
 
     spec = marginals.spec
     pm = spec.pm
-    q = marginals.block_matrix()
     d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(pm)
     e_w = marginals.px.reshape(pm)
-    system = QdSystem(spec, q, d, float(marginals.p_y[1]), e_w)
+    system = QdSystem(spec, marginals.q, d, float(marginals.p_y[1]), e_w)
     if check:
         min_eig = float(system.factor.w[0])
         if min_eig < -1e-10:
@@ -195,13 +194,8 @@ def design_matrix(data: Dataset) -> DesignSystem:
     """One-hot design W (one indicator per feature block per row) and
     centered targets b = y - 1/2."""
     spec = data.spec
-    n = data.n
-    w = np.zeros((n, spec.pm))
-    rows = np.arange(n)
-    for i in range(spec.p):
-        w[rows, i * spec.m + data.rows[:, i]] = 1.0
     b = data.rows[:, spec.p].astype(float) - 0.5
-    return DesignSystem(w, b)
+    return DesignSystem(one_hot(data.rows[:, : spec.p], spec.m), b)
 
 
 def lsq_objective(design: DesignSystem, z: np.ndarray) -> float:

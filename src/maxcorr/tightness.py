@@ -42,6 +42,7 @@ from .distributions import (
     AlphabetSpec,
     DiscreteJoint,
     conditional_expectation,
+    marginal_deviation,
     pairwise_from_joint,
     perturb_joint,
     uniform_joint,
@@ -233,10 +234,7 @@ def construct_additive(
 
     base_marginals = pairwise_from_joint(base)
     if expected_marginals is not None:
-        worst = 0.0
-        for key, tab in expected_marginals.xx.items():
-            worst = max(worst, float(np.abs(tab - base_marginals.xx[key]).max()))
-        worst = max(worst, float(np.abs(expected_marginals.xy - base_marginals.xy).max()))
+        worst = marginal_deviation(expected_marginals, base_marginals)
         if worst > 1e-9:
             raise MarginalMismatch(f"base marginals deviate by {worst:.3e}")
 

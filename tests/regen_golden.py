@@ -107,6 +107,8 @@ CASES = {
     "error_degenerate_check_tight": ["check-tight", "--joint", "degenerate.csv"],
     "error_inconsistent": ["check-tight", "--marginals", "inconsistent.json"],
     "error_indefinite": ["lower-bound", "--marginals", "indefinite.json"],
+    # m is read off the largest label, so Q would have (2 * 100001)^2 entries
+    "error_stray_label": ["lower-bound", "--data", "stray_label.csv"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -216,6 +218,7 @@ def write_inputs():
     degenerate = mx.joint_from_table(mx.AlphabetSpec(1, 2), [((0,), 1, 0.5), ((1,), 1, 0.5)])
     write_joint_csv(degenerate, INPUTS / "degenerate.csv")
     (INPUTS / "garbage.csv").write_text("x1,y,prob\n0,0,not_a_number\n")
+    (INPUTS / "stray_label.csv").write_text("x1,x2,y\n0,1,0\n1,0,1\n100000,1,1\n")
     bad = json.loads((INPUTS / "nonadditive.json").read_text())
     bad["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
     (INPUTS / "inconsistent.json").write_text(json.dumps(bad, sort_keys=True) + "\n")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,21 @@ class TestLowerBound:
         code, report, _ = run(capsys, ["lower-bound", "--marginals", str(tmp_path / "wide.json")])
         assert code == 0
         assert report["results"]["rho_lb"] == mx.rho_lb(mx.assemble_qd(marginals))
+
+    def test_a_stray_label_is_refused_before_q(self, capsys, tmp_path):
+        # m is read off the largest label: 100001 labels, so Q would hold
+        # 4 * 10^10 entries and the pair loop would ask for 10^10 bins.
+        path = tmp_path / "stray.csv"
+        path.write_text("x1,x2,y\n0,1,0\n1,0,1\n100000,1,1\n")
+        tracemalloc.start()
+        try:
+            code = main(["lower-bound", "--data", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert peak < 16 * 2**20
 
     def test_extremes(self, capsys, files):
         _, product, _ = run(capsys, ["lower-bound", "--joint", files["product.csv"]])

@@ -1,3 +1,5 @@
+import tracemalloc
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,14 @@ from numpy.testing import assert_allclose
 
 import maxcorr as mx
 import maxcorr.distributions as distributions
-from maxcorr.distributions import ATOM_CAP, GRAM_CHUNK, GRAM_MAX_M, _pairwise_by_pair, empirical_joint
+from maxcorr.distributions import (
+    ATOM_CAP,
+    GRAM_CHUNK,
+    GRAM_MAX_M,
+    Q_CAP,
+    _pairwise_by_pair,
+    empirical_joint,
+)
 from maxcorr.errors import (
     AtomCapExceeded,
     DuplicateEntry,
@@ -193,11 +202,8 @@ class TestDatasets:
 
 
 def assert_same_tables(got, want):
-    assert np.array_equal(got.px, want.px)
+    assert np.array_equal(got.q, want.q)
     assert np.array_equal(got.xy, want.xy)
-    assert list(got.xx) == list(want.xx)
-    for key, tab in want.xx.items():
-        assert np.array_equal(got.xx[key], tab)
 
 
 def via_gram(data, **patches):
@@ -299,6 +305,11 @@ BREAKS = ["negative", "sum", "transpose", "row_sum", "p_y", "degenerate"]
 def broken_marginals(p, m, seed, breaks, size):
     """The marginals of a random joint with the listed faults put in, each
     at a random place, by ``size`` (below or above the 1e-9 tolerance)."""
+    return mx.PairwiseMarginalSet(*broken_tables(p, m, seed, breaks, size))
+
+
+def broken_tables(p, m, seed, breaks, size):
+    """``(spec, xx, xy, px)`` of :func:`broken_marginals`."""
     rng = np.random.default_rng(seed)
     spec = mx.AlphabetSpec(p, m)
     if "degenerate" in breaks:
@@ -329,7 +340,7 @@ def broken_marginals(p, m, seed, breaks, size):
         px[i, (k + 1) % m] -= size
     if "p_y" in breaks:
         xy[i, k] += [size, -size]
-    return mx.PairwiseMarginalSet(spec, xx, xy, px)
+    return spec, xx, xy, px
 
 
 class TestValidateParity:
@@ -363,6 +374,94 @@ class TestValidateParity:
             for text in mx.validate_marginals(marginals).violations:
                 found.update(kind for kind in kinds if kind in text)
         assert found == kinds
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestStoredForm:
+    """A marginal set stores Q and xy; px and xx are views of Q."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        m=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        breaks=st.sets(st.sampled_from(BREAKS)),
+        size=st.sampled_from([1e-11, 1.5e-9, 0.05, 0.3]),
+    )
+    def test_dict_constructor_round_trips_bit_for_bit(self, p, m, seed, breaks, size):
+        spec, xx, xy, px = broken_tables(p, m, seed, breaks, size)
+        marginals = mx.PairwiseMarginalSet(spec, xx, xy, px)
+        assert list(marginals.xx) == list(permutations(range(p), 2))
+        for key, tab in xx.items():
+            assert bits(marginals.xx[key]) == bits(tab)
+            assert np.shares_memory(marginals.xx[key], marginals.q)
+        assert bits(marginals.px) == bits(px)
+        assert np.shares_memory(marginals.px, marginals.q)
+        assert bits(marginals.xy) == bits(xy)
+
+    def test_arrays_and_views_are_read_only(self):
+        marginals = mx.pairwise_from_joint(mx.random_joint(mx.AlphabetSpec(3, 2), seed=5))
+        for a in (marginals.q, marginals.xy, marginals.px, marginals.xx[(2, 0)]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            marginals.xx[(0, 1)] = np.zeros((2, 2))
+        assert set(vars(marginals)) <= {"spec", "q", "xy", "xx"}
+
+    def test_from_q_copies_and_checks(self):
+        marginals = mx.pairwise_from_joint(mx.random_joint(mx.AlphabetSpec(2, 3), seed=6))
+        q, xy = np.array(marginals.q), np.array(marginals.xy)
+        copy = mx.PairwiseMarginalSet.from_q(marginals.spec, q, xy)
+        q[0, 0] = 7.0
+        assert np.array_equal(copy.q, marginals.q)
+        with pytest.raises(ValidationError, match="q must have shape"):
+            mx.PairwiseMarginalSet.from_q(marginals.spec, q[:5, :5], xy)
+        nan = np.array(marginals.q)
+        nan[1, 4] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            mx.PairwiseMarginalSet.from_q(marginals.spec, nan, xy)
+        stray = np.array(marginals.q)
+        stray[3, 5] = 0.01  # inside diagonal block 1, off its diagonal
+        with pytest.raises(ValidationError, match="diagonal block 1 of q is not diagonal"):
+            mx.PairwiseMarginalSet.from_q(marginals.spec, stray, xy)
+
+    def test_q_cap(self):
+        mx.AlphabetSpec(1, 8192).require_q()  # (pm)^2 == Q_CAP
+        assert 8192**2 == Q_CAP
+        with pytest.raises(AtomCapExceeded):
+            mx.AlphabetSpec(1, 8193).require_q()
+        with pytest.raises(AtomCapExceeded):
+            mx.PairwiseMarginalSet(mx.AlphabetSpec(1, 8193), {}, np.zeros((1, 8193, 2)), np.zeros((1, 8193)))
+
+    def test_joint_under_the_atom_cap_with_too_large_a_q_is_refused(self):
+        spec = mx.AlphabetSpec(1, 16_384)
+        assert spec.n_atoms <= ATOM_CAP < spec.pm**2
+        joint = mx.uniform_joint(spec)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomCapExceeded):
+                mx.pairwise_from_joint(joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_marginal_deviation_is_the_largest_table_difference(self, p):
+        spec = mx.AlphabetSpec(p, 3)
+        a = mx.pairwise_from_joint(mx.random_joint(spec, seed=p))
+        b = mx.pairwise_from_joint(mx.random_joint(spec, seed=p + 10))
+        worst = float(np.abs(a.xy - b.xy).max())
+        for key, tab in a.xx.items():
+            worst = max(worst, float(np.abs(tab - b.xx[key]).max()))
+        assert mx.marginal_deviation(a, b) == worst == mx.marginal_deviation(b, a)
+        # px, on the diagonal of Q, is left out
+        moved = mx.PairwiseMarginalSet(spec, dict(a.xx), a.xy, a.px + 0.5)
+        assert mx.marginal_deviation(a, moved) == 0.0
 
 
 class TestUniformAndPerturb:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import maxcorr as mx
 from maxcorr.errors import (
+    AtomCapExceeded,
     DuplicateEntry,
     LabelOutOfRange,
     NegativeProbability,
@@ -115,10 +117,26 @@ class TestMarginalsJson:
         write_marginals_json(marginals, path)
         loaded = read_marginals_json(path)
         assert loaded.spec == marginals.spec
-        assert_allclose(loaded.xy, marginals.xy, atol=0)
-        for key in marginals.xx:
-            assert_allclose(loaded.xx[key], marginals.xx[key], atol=0)
+        assert np.array_equal(loaded.xy, marginals.xy)
+        # the file holds no px: the reader takes the row sums of xy
+        want = mx.PairwiseMarginalSet(
+            marginals.spec, dict(marginals.xx), marginals.xy, marginals.xy.sum(axis=2)
+        )
+        assert np.array_equal(loaded.q, want.q)
         assert mx.validate_marginals(loaded).ok
+
+    def test_one_feature_over_many_labels_is_refused_before_q(self, tmp_path):
+        m = 10_000  # Q would hold 10^8 entries, 800 MB
+        path = tmp_path / "marginals.json"
+        path.write_text(json.dumps({"p": 1, "m": m, "xy": {"1": [0.5 / m] * (2 * m)}, "xx": {}}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomCapExceeded, match="exceeds the cap"):
+                read_marginals_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_keys_are_one_based_upper_triangle(self):
         marginals = mx.pairwise_from_joint(mx.random_joint(mx.AlphabetSpec(3, 2), seed=1))

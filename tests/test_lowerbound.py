@@ -85,6 +85,13 @@ class TestAssembleQd:
         with pytest.raises(InconsistentMarginals):
             mx.assemble_qd(marginals)
 
+    def test_takes_q_of_the_marginal_set_without_a_copy(self):
+        marginals = mx.pairwise_from_joint(mx.random_joint(mx.AlphabetSpec(3, 3), seed=4))
+        system = mx.assemble_qd(marginals)
+        assert system.q is marginals.q
+        assert np.shares_memory(system.q, marginals.q)
+        assert np.shares_memory(system.e_w, marginals.q)
+
 
 class TestGammaLowerBound:
     def test_independent_uniform_is_quarter(self):
@@ -287,10 +294,9 @@ class TestManyFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # G, one 4 MB chunk and the tables; a one-hot of all rows would be 160 MB
+        # G, its copy Q and one 4 MB chunk; a one-hot of all rows would be 160 MB
         assert peak < 64 * 2**20
-        want = _pairwise_by_pair(data).block_matrix()
-        assert np.array_equal(marginals.block_matrix(), want)
+        assert np.array_equal(marginals.q, _pairwise_by_pair(data).q)
         system = mx.assemble_qd(marginals)
         assert 0.0 <= mx.rho_lb(system) <= 1.0
         assert mx.check_tightness(system).verdict in ("Tight", "NotTight")
