@@ -20,7 +20,7 @@ block layout of ``Q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 from types import MappingProxyType
@@ -159,13 +159,13 @@ def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Dense joint table: ``prob[state, y] = P(X = x(state), Y = y)``."""
 
     spec: AlphabetSpec
     prob: np.ndarray
-    tol: float = field(default=INPUT_TOL, compare=False)
+    tol: float = INPUT_TOL
 
     def __post_init__(self):
         self.spec.require_dense()
@@ -194,7 +194,7 @@ class DiscreteJoint:
         return self.prob.sum(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n rows of labels (x_1..x_p, y)."""
 
@@ -224,7 +224,7 @@ class Dataset:
         return self.rows.shape[0]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PairwiseMarginalSet:
     """Two read-only arrays: the (pm, pm) matrix Q of the separable bound,
     ``q[i*m + k, j*m + l] = P(X_i = k, X_j = l)`` (diagonal block i is
@@ -295,7 +295,7 @@ class PairwiseMarginalSet:
         return self.xy[0].sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalTable:
     """E[Y | X = x] on the support of X; off-support states are only flagged."""
 

@@ -38,7 +38,7 @@ class InvalidEpsilon(ValidationError):
 
 
 class AtomCapExceeded(ValidationError):
-    """A dense array beyond its cap: a full joint over ``ATOM_CAP`` atoms, or Q over ``Q_CAP``."""
+    """A dense array over its cap: a joint table over ``ATOM_CAP`` cells, or Q over ``Q_CAP``."""
 
 
 class InconsistentMarginals(ValidationError):

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import DegenerateY, InconsistentMoments, InvalidRho, NotSymmetric, ValidationError
 from .hgr import GenericJoint
-from .numerics import RANK_TOL, pseudoinverse
+from .numerics import pseudoinverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMoments:
     """First moment mu = E[(X Y)] (Y last) and second moment lam = E[(X Y)'(X Y)]."""
 
@@ -79,7 +79,7 @@ class GaussianMoments:
         return float(self.sigma[self.p, self.p])
 
 
-def regression_vector(moments: GaussianMoments, rank_tol: float = RANK_TOL) -> np.ndarray:
+def regression_vector(moments: GaussianMoments) -> np.ndarray:
     """a with Sigma_XX a = Sigma_XY, so Y - a'X is uncorrelated with X.
 
     Collinear features are handled by the pseudoinverse; a cross-covariance
@@ -88,7 +88,7 @@ def regression_vector(moments: GaussianMoments, rank_tol: float = RANK_TOL) -> n
     """
     sxx = moments.sigma_xx
     sxy = moments.sigma_xy
-    a = pseudoinverse(sxx, rank_tol) @ sxy
+    a = pseudoinverse(sxx) @ sxy
     resid = float(np.linalg.norm(sxx @ a - sxy))
     if resid > 1e-8 * max(1.0, float(np.linalg.norm(sxy))):
         raise InconsistentMoments(
@@ -97,12 +97,12 @@ def regression_vector(moments: GaussianMoments, rank_tol: float = RANK_TOL) -> n
     return a
 
 
-def min_hgr_gaussian(moments: GaussianMoments, rank_tol: float = RANK_TOL) -> float:
+def min_hgr_gaussian(moments: GaussianMoments) -> float:
     """sqrt(a' Sigma_XX a / Var Y): the moment-constrained minimum, attained
     by the jointly Gaussian distribution."""
     if moments.var_y <= 0.0:
         raise DegenerateY(f"Var(Y) = {moments.var_y}; minimum correlation undefined")
-    a = regression_vector(moments, rank_tol)
+    a = regression_vector(moments)
     ratio = float(a @ moments.sigma_xx @ a) / moments.var_y
     if ratio > 1.0 + 1e-9:
         raise InconsistentMoments(
@@ -112,18 +112,16 @@ def min_hgr_gaussian(moments: GaussianMoments, rank_tol: float = RANK_TOL) -> fl
 
 
 def discretize_bivariate_gaussian(
-    rho: float,
-    grid_n: int = 200,
-    half_width: float = 5.0,
-    quad_nodes: int = 24,
+    rho: float, grid_n: int = 200, half_width: float = 5.0
 ) -> tuple[GenericJoint, float]:
     """Cell-by-cell discretization of a standard bivariate normal.
 
     Partitions [-half_width, half_width]^2 into grid_n^2 cells, integrates
-    the density exactly over each cell (conditioning on x plus Gauss-Legendre
-    in the x direction), renormalizes, and reports the truncated tail mass.
-    Cell integration keeps the discretization error monotone under grid
-    refinement, which midpoint sampling does not once truncation dominates.
+    the density exactly over each cell (conditioning on x plus 24-node
+    Gauss-Legendre in the x direction), renormalizes, and reports the
+    truncated tail mass.  Cell integration keeps the discretization error
+    monotone under grid refinement, which midpoint sampling does not once
+    truncation dominates.
 
     Returns ``(joint, tail_mass)``.
     """
@@ -138,7 +136,7 @@ def discretize_bivariate_gaussian(
 
     edges = np.linspace(-half_width, half_width, grid_n + 1)
     s = np.sqrt(1.0 - rho * rho)
-    nodes, weights = roots_legendre(quad_nodes)
+    nodes, weights = roots_legendre(24)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1] - edges[0])
     xs = mid[:, None] + half * nodes[None, :]  # (n, q)

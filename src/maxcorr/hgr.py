@@ -15,7 +15,7 @@ this stays correct when rho_m = 1 ties the top two values.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +28,12 @@ logger = logging.getLogger(__name__)
 INDEPENDENCE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericJoint:
     """Dense joint table over two finite alphabets (no structure assumed)."""
 
     prob: np.ndarray
-    tol: float = field(default=INPUT_TOL, compare=False)
+    tol: float = INPUT_TOL
 
     def __post_init__(self):
         prob = np.asarray(self.prob, dtype=float)
@@ -59,7 +59,7 @@ class GenericJoint:
         return self.prob.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HgrResult:
     """Maximal correlation and a pair of optimal transforms.
 

@@ -32,6 +32,7 @@ import warnings
 import numpy as np
 
 from .distributions import (
+    ATOM_CAP,
     AlphabetSpec,
     Dataset,
     DiscreteJoint,
@@ -39,7 +40,7 @@ from .distributions import (
     joint_from_arrays,
     q_from_upper,
 )
-from .errors import ValidationError
+from .errors import AtomCapExceeded, ValidationError
 from .gaussian import GaussianMoments
 from .hgr import GenericJoint
 
@@ -136,7 +137,9 @@ def read_generic_csv(path) -> GenericJoint:
     if labels.min() < 0:
         raise ValidationError(f"{path}: labels must be non-negative")
     nx, ny = (int(v) + 1 for v in labels.max(axis=0))
-    # Allocated first: once the table fits, the flat cell index cannot overflow.
+    # Checked before any allocation; under the cap the flat cell index cannot overflow.
+    if nx * ny > ATOM_CAP:
+        raise AtomCapExceeded(f"{path}: a {nx} x {ny} table exceeds the dense cap {ATOM_CAP}")
     table = np.zeros(nx * ny)
     cell = labels[:, 0] * ny + labels[:, 1]
     counts = np.bincount(cell, minlength=nx * ny)

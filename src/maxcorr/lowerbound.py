@@ -19,7 +19,10 @@ gamma equals E[(w'z - b)^2] with b = y - 1/2, and the additive construction
 downstream reads P*(Y=1|x) = 1/2 + z'w_x.
 
 Everything here depends on the marginals only, so the bound is shared by the
-whole class of joints with those marginals.
+whole class of joints with those marginals.  Q is factored and solved once
+per system: ``QdSystem.z0`` = Q^+ d / 2, checked against 2Qz = d when first
+read, serves the bound and the tightness certificate, under the fixed rank
+cut ``numerics.RANK_TOL``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     DInconsistentWithQ,
     InconsistentMarginals,
 )
-from .numerics import RANK_TOL, SymmetricEigen, cg_minimum_norm, eigh
+from .numerics import SymmetricEigen, cg_minimum_norm, eigh
 
 logger = logging.getLogger(__name__)
 
@@ -45,13 +48,13 @@ logger = logging.getLogger(__name__)
 RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QdSystem:
     """Assembled quadratic system (Q, d) plus P(Y=1) and E[w].
 
-    ``factor``, the symmetric eigendecomposition of Q, is computed on first
-    use and shared by the PSD check, the bound, the minimum-norm minimizer
-    and the null space of the tightness test.
+    ``factor``, the symmetric eigendecomposition of Q, and ``z0``, the
+    minimum-norm minimizer, are computed on first use and shared by the PSD
+    check, the bound, the tightness certificate and its null space.
     """
 
     spec: AlphabetSpec
@@ -69,6 +72,14 @@ class QdSystem:
     def factor(self) -> SymmetricEigen:
         return eigh(self.q)
 
+    @cached_property
+    def z0(self) -> np.ndarray:
+        """Read-only minimum-norm solution of 2Qz = d, checked by its residual."""
+        z = 0.5 * self.factor.solve(self.d)
+        _check_residual(self, z)
+        z.setflags(write=False)
+        return z
+
     @property
     def var_y(self) -> float:
         return self.p_y1 * (1.0 - self.p_y1)
@@ -81,17 +92,16 @@ class QdSystem:
         return float(z @ self.q @ z - self.d @ z + 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowerBoundResult:
     """gamma, the derived correlation bound, and the minimizer used."""
 
     gamma_lb: float
     rho_lb: float
     z_star: np.ndarray
-    method: str  # "closed-form" | "iterative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSystem:
     """Indicator design matrix W (n x pm) and target b in {-1/2, +1/2}^n."""
 
@@ -144,23 +154,14 @@ def _clamp_gamma(gamma: float) -> float:
     return clipped
 
 
-def minimum_norm_stationary(system: QdSystem, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """The minimum-norm solution of 2Qz = d, i.e. z = Q^+ d / 2."""
-    z = 0.5 * system.factor.solve(system.d, rank_tol)
-    _check_residual(system, z)
-    return z
+def minimum_norm_stationary(system: QdSystem) -> np.ndarray:
+    """The minimum-norm solution of 2Qz = d, z = Q^+ d / 2: the cached ``system.z0``."""
+    return system.z0
 
 
-def gamma_lb_closed(system: QdSystem, rank_tol: float = RANK_TOL) -> float:
-    """gamma via the pseudoinverse identity (1 - d'Q^+ d) / 4."""
-    u = system.factor.solve(system.d, rank_tol)
-    dnorm = float(np.linalg.norm(system.d))
-    resid = float(np.linalg.norm(system.q @ u - system.d))
-    if dnorm > 0.0 and resid > RESIDUAL_TOL * dnorm:
-        raise DInconsistentWithQ(
-            f"relative projection residual {resid / dnorm:.3e} exceeds {RESIDUAL_TOL}"
-        )
-    return _clamp_gamma(0.25 * (1.0 - float(system.d @ u)))
+def gamma_lb_closed(system: QdSystem) -> float:
+    """gamma via the pseudoinverse identity (1 - d'Q^+ d) / 4 = (1 - 2 d'z0) / 4."""
+    return _clamp_gamma(0.25 * (1.0 - 2.0 * float(system.d @ system.z0)))
 
 
 def gamma_lb_iterative(system: QdSystem) -> LowerBoundResult:
@@ -173,7 +174,7 @@ def gamma_lb_iterative(system: QdSystem) -> LowerBoundResult:
     z = cg_minimum_norm(system.q, 0.5 * system.d)
     _check_residual(system, z)
     gamma = _clamp_gamma(system.quadratic(z))
-    return LowerBoundResult(gamma, _rho_from_gamma(system, gamma), z, method="iterative")
+    return LowerBoundResult(gamma, _rho_from_gamma(system, gamma), z)
 
 
 def _rho_from_gamma(system: QdSystem, gamma: float) -> float:
@@ -185,9 +186,9 @@ def _rho_from_gamma(system: QdSystem, gamma: float) -> float:
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def rho_lb(system: QdSystem, rank_tol: float = RANK_TOL) -> float:
+def rho_lb(system: QdSystem) -> float:
     """The separable lower bound sqrt(1 - gamma / (P(Y=0) P(Y=1)))."""
-    return _rho_from_gamma(system, gamma_lb_closed(system, rank_tol))
+    return _rho_from_gamma(system, gamma_lb_closed(system))
 
 
 def design_matrix(data: Dataset) -> DesignSystem:

@@ -6,9 +6,11 @@ positive-semidefinite systems that serves as the iterative counterpart to
 pseudoinverse-based formulas.  :func:`eigh` factors a symmetric matrix once;
 its range, null space and minimum-norm solves all come from that one
 eigendecomposition.  :func:`pseudoinverse` is SVD-based, for general
-matrices.  Everything is double precision and deterministic under fixed
-inputs.  ``scipy.optimize`` is imported on the first :func:`solve_lp` call,
-so the other kernels load no scipy.
+matrices.  Every rank decision is the one fixed cut ``RANK_TOL``, relative
+to the largest singular value or |eigenvalue|.  Everything is double
+precision and deterministic under fixed inputs.  ``scipy.optimize`` is
+imported on the first :func:`solve_lp` call, so the other kernels load no
+scipy.
 """
 
 from __future__ import annotations
@@ -28,22 +30,20 @@ def _require_finite(a: np.ndarray):
         raise NonFinite("matrix contains NaN or infinity")
 
 
-def numerical_rank(s: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Count of singular values above ``rank_tol * s_max``."""
+def numerical_rank(s: np.ndarray) -> int:
+    """Count of singular values above ``RANK_TOL * s_max``."""
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] <= 0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def pseudoinverse(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, truncating relative to the top singular value."""
-    if rank_tol <= 0:
-        raise DimensionMismatch(f"rank_tol must be > 0, got {rank_tol}")
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, truncating at ``RANK_TOL`` of the top singular value."""
     a = np.asarray(a, dtype=float)
     _require_finite(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    r = numerical_rank(s, rank_tol)
+    r = numerical_rank(s)
     if r == 0:
         return np.zeros((a.shape[1], a.shape[0]))
     inv = np.zeros_like(s)
@@ -51,34 +51,32 @@ def pseudoinverse(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricEigen:
     """Eigendecomposition ``A = V diag(w) V'`` of a symmetric matrix, w ascending.
 
-    An eigenvalue counts as nonzero when ``|w| > rank_tol * max|w|``, the
+    An eigenvalue counts as nonzero when ``|w| > RANK_TOL * max|w|``, the
     cut :func:`numerical_rank` makes on the singular values ``|w|``.
     """
 
     w: np.ndarray
     v: np.ndarray
 
-    def kept(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def kept(self) -> np.ndarray:
         """Mask of the eigenvalues above the rank cut."""
-        if rank_tol <= 0:
-            raise DimensionMismatch(f"rank_tol must be > 0, got {rank_tol}")
         mag = np.abs(self.w)
-        return mag > rank_tol * mag.max(initial=0.0)
+        return mag > RANK_TOL * mag.max(initial=0.0)
 
-    def solve(self, b: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^+ b`` as ``V_r ((V_r' b) / w_r)``, without forming ``A^+``."""
-        keep = self.kept(rank_tol)
+        keep = self.kept()
         vr = self.v[:, keep]
         return vr @ ((vr.T @ b) / self.w[keep])
 
-    def null_basis(self, rank_tol: float = RANK_TOL) -> np.ndarray:
+    def null_basis(self) -> np.ndarray:
         """Orthonormal (n, n - rank) basis of the null space: the
         eigenvectors below the cut."""
-        return self.v[:, ~self.kept(rank_tol)]
+        return self.v[:, ~self.kept()]
 
 
 def eigh(a: np.ndarray) -> SymmetricEigen:
@@ -93,21 +91,20 @@ def eigh(a: np.ndarray) -> SymmetricEigen:
     return SymmetricEigen(w, v)
 
 
-def cg_minimum_norm(a: np.ndarray, b: np.ndarray, tol: float = 1e-14, max_iter: int | None = None) -> np.ndarray:
+def cg_minimum_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm solution of the consistent PSD system ``a @ x = b`` by
     conjugate gradients started at zero.
 
     Iterates stay in the Krylov space of ``a`` applied to ``b``, hence in the
-    column space, so the limit is the minimum-norm solution.  Callers must
-    check the residual themselves when ``b`` may leave the column space.
+    column space, so the limit is the minimum-norm solution.  The iteration
+    stops at a residual of ``1e-14 max(1, |b|)`` or after ``50 n`` steps.
+    Callers must check the residual when ``b`` may leave the column space.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 50 * n
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(n)
     if bnorm == 0.0:
@@ -115,7 +112,7 @@ def cg_minimum_norm(a: np.ndarray, b: np.ndarray, tol: float = 1e-14, max_iter: 
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    for _ in range(max_iter):
+    for _ in range(50 * n):
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -124,14 +121,14 @@ def cg_minimum_norm(a: np.ndarray, b: np.ndarray, tol: float = 1e-14, max_iter: 
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * max(1.0, bnorm):
+        if np.sqrt(rs_new) <= 1e-14 * max(1.0, bnorm):
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min objective @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq, bounds.
 

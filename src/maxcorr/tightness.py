@@ -28,8 +28,8 @@ max(h(z0), h(-z0)) in closed form.  That is the case for every class with
 full support, and then no LP is built and scipy is not imported.  Otherwise
 (a label of zero probability, a feature that copies another, a sparse
 support) a small LP over c decides; the shifts are left out of it because
-they would only give it flat rays, on which HiGHS can fail.  z0 and N come
-from the eigendecomposition of Q that the bound uses.
+they would only give it flat rays, on which HiGHS can fail.  z0 is the
+bound's cached ``QdSystem.z0``, and N comes from the same factor of Q.
 """
 
 from __future__ import annotations
@@ -58,14 +58,14 @@ from .errors import (
     ValidationError,
 )
 from .hgr import flatten_joint, hgr_svd
-from .lowerbound import QdSystem, assemble_qd, minimum_norm_stationary, rho_lb
+from .lowerbound import QdSystem, assemble_qd, rho_lb
 from .numerics import LinearProgram, solve_lp
 
 #: Default slack for the h <= 1/2 boundary (non-strict in exact arithmetic).
 TIGHT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TightnessCertificate:
     """Outcome of the achievability test.
 
@@ -87,7 +87,7 @@ class TightnessCertificate:
         return self.verdict == "Tight"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveDecomposition:
     """Per-feature tables f_i with E[Y|X=x] ~ sum_i f_i(x_i) on the support."""
 
@@ -181,7 +181,7 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec
-    z0 = minimum_norm_stationary(system)
+    z0 = system.z0
     null = system.factor.null_basis()
     if null.shape[1] <= spec.p - 1:
         # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.

@@ -109,6 +109,8 @@ CASES = {
     "error_indefinite": ["lower-bound", "--marginals", "indefinite.json"],
     # m is read off the largest label, so Q would have (2 * 100001)^2 entries
     "error_stray_label": ["lower-bound", "--data", "stray_label.csv"],
+    # nx is read off the largest label, so the table would have 2^41 cells
+    "error_generic_stray_label": ["oracle", "--generic", "stray_generic.csv"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -219,6 +221,7 @@ def write_inputs():
     write_joint_csv(degenerate, INPUTS / "degenerate.csv")
     (INPUTS / "garbage.csv").write_text("x1,y,prob\n0,0,not_a_number\n")
     (INPUTS / "stray_label.csv").write_text("x1,x2,y\n0,1,0\n1,0,1\n100000,1,1\n")
+    (INPUTS / "stray_generic.csv").write_text("x,y,prob\n0,0,0.5\n1099511627776,1,0.5\n")
     bad = json.loads((INPUTS / "nonadditive.json").read_text())
     bad["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
     (INPUTS / "inconsistent.json").write_text(json.dumps(bad, sort_keys=True) + "\n")

@@ -88,6 +88,20 @@ class TestOracle:
         assert code == 0
         assert report["results"]["rho"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_a_stray_generic_label_is_refused_before_the_table(self, capsys, tmp_path):
+        # nx is read off the largest label: the table would hold 2^41 cells (16 TiB).
+        path = tmp_path / "generic.csv"
+        path.write_text("x,y,prob\n0,0,0.5\n1099511627776,1,0.5\n")
+        tracemalloc.start()
+        try:
+            code = main(["oracle", "--generic", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the dense cap" in capsys.readouterr().err
+        assert peak < 16 * 2**20
+
 
 class TestLowerBound:
     def test_values_from_joint(self, capsys, files):

@@ -28,7 +28,7 @@ from maxcorr.errors import (
     NotNormalized,
     ValidationError,
 )
-from maxcorr.numerics import LinearProgram, solve_lp
+from maxcorr.numerics import LinearProgram, eigh, solve_lp
 
 from conftest import legacy_validate_marginals
 
@@ -565,3 +565,46 @@ class TestFeasibleMember:
         assert mx.validate_marginals(infeasible).ok  # passes every local screen
         with pytest.raises(InconsistentMarginals):
             mx.feasible_member(infeasible)
+
+
+def build_each_array_dataclass():
+    """One instance of every frozen dataclass that holds arrays, built afresh."""
+    joint = mx.nonadditive_fixture()
+    data = mx.sample_dataset(joint, n=20, seed=0)
+    system = mx.assemble_qd(mx.pairwise_from_joint(joint))
+    return {
+        "DiscreteJoint": joint,
+        "Dataset": data,
+        "PairwiseMarginalSet": mx.pairwise_from_joint(joint),
+        "ConditionalTable": mx.conditional_expectation(joint),
+        "GenericJoint": mx.flatten_joint(joint),
+        "HgrResult": mx.hgr_svd(mx.flatten_joint(joint)),
+        "QdSystem": system,
+        "LowerBoundResult": mx.gamma_lb_iterative(system),
+        "DesignSystem": mx.design_matrix(data),
+        "TightnessCertificate": mx.check_tightness(system),
+        "AdditiveDecomposition": mx.is_additive(joint),
+        "GaussianMoments": mx.GaussianMoments(np.zeros(2), np.eye(2)),
+        "SymmetricEigen": eigh(np.eye(2)),
+        "LinearProgram": LinearProgram(np.ones(2)),
+    }
+
+
+class TestArrayDataclassEquality:
+    """Dataclasses holding arrays compare by identity: ``==`` answers
+    instead of raising on the truth value of an array."""
+
+    @pytest.mark.parametrize("name", sorted(build_each_array_dataclass()))
+    def test_two_builds_compare_without_raising(self, name):
+        a, b = build_each_array_dataclass()[name], build_each_array_dataclass()[name]
+        assert type(a).__name__ == name
+        assert (a == b) is False
+        assert (a != b) is True
+        assert a == a
+        assert len({a, b}) == 2
+
+    def test_value_types_keep_value_equality(self):
+        assert mx.AlphabetSpec(2, 3) == mx.AlphabetSpec(2, 3)
+        assert mx.validate_marginals(mx.pairwise_from_joint(mx.nonadditive_fixture())) == (
+            mx.validate_marginals(mx.pairwise_from_joint(mx.nonadditive_fixture()))
+        )

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
+from maxcorr.distributions import ATOM_CAP
 from maxcorr.errors import (
     AtomCapExceeded,
     DuplicateEntry,
@@ -108,6 +109,24 @@ class TestGenericCsv:
         path.write_text("x,y,prob\n0,0,0.5\n0,0,0.5\n")
         with pytest.raises(ValidationError):
             read_generic_csv(path)
+
+    def test_dense_cap_boundary(self, tmp_path):
+        """A 2048 x 2048 table (ATOM_CAP cells) is read; a 2049 x 2048 one is
+        refused before it is allocated."""
+        path = tmp_path / "generic.csv"
+        path.write_text("x,y,prob\n0,0,0.5\n2047,2047,0.5\n")
+        joint = read_generic_csv(path)
+        assert joint.prob.shape == (2048, 2048) and joint.prob.size == ATOM_CAP
+        assert joint.prob[2047, 2047] == 0.5
+        path.write_text("x,y,prob\n0,0,0.5\n2048,2047,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomCapExceeded, match="2049 x 2048"):
+                read_generic_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMarginalsJson:

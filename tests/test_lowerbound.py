@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
@@ -116,7 +118,6 @@ class TestGammaLowerBound:
         closed = mx.gamma_lb_closed(system)
         iterative = mx.gamma_lb_iterative(system)
         assert abs(closed - iterative.gamma_lb) <= 1e-10
-        assert iterative.method == "iterative"
 
     def test_iterative_result_fields(self):
         system = system_of(mx.copy_fixture())
@@ -151,10 +152,73 @@ class TestGammaLowerBound:
             p_y1=0.5,
             e_w=np.array([1.0, 0.0]),
         )
-        with pytest.raises(DInconsistentWithQ):
-            mx.gamma_lb_closed(system)
-        with pytest.raises(DInconsistentWithQ):
-            mx.gamma_lb_iterative(system)
+        # every entry point, each after the one before has failed
+        for entry in (
+            mx.gamma_lb_closed,
+            mx.rho_lb,
+            mx.minimum_norm_stationary,
+            mx.check_tightness,
+            mx.gamma_lb_iterative,
+        ):
+            with pytest.raises(DInconsistentWithQ):
+                entry(system)
+
+
+def legacy_gamma_lb_closed(system):
+    """gamma as the closed form computed it before z0 was cached: its own
+    solve of Q u = d, checked by its own residual."""
+    u = system.factor.solve(system.d)
+    dnorm = float(np.linalg.norm(system.d))
+    resid = float(np.linalg.norm(system.q @ u - system.d))
+    if dnorm > 0.0 and resid > 1e-8 * dnorm:
+        raise DInconsistentWithQ(f"relative projection residual {resid / dnorm:.3e}")
+    return min(max(0.25 * (1.0 - float(system.d @ u)), 0.0), 0.25)
+
+
+def joint_of_kind(p, m, kind, seed, alpha):
+    """A Dirichlet joint, with the last label of feature 1 never occurring
+    (``zero_label``) or feature p copying feature 1 (``copy``)."""
+    spec = mx.AlphabetSpec(p, m)
+    prob = np.array(mx.random_joint(spec, seed=seed, alpha=alpha).prob)
+    states = spec.states()
+    if kind == "zero_label":
+        prob[states[:, 0] == m - 1] = 0.0
+    elif kind == "copy":
+        prob[states[:, 0] != states[:, p - 1]] = 0.0
+    return mx.DiscreteJoint(spec, prob / prob.sum())
+
+
+class TestCachedMinimizer:
+    """One solve per system: z0 is cached, read-only, and the closed form
+    reads gamma off it."""
+
+    def test_z0_is_read_only(self):
+        system = system_of(mx.nonadditive_fixture())
+        z0 = system.z0
+        assert not z0.flags.writeable
+        with pytest.raises(ValueError):
+            z0[0] = 1.0
+        with pytest.raises(AttributeError):
+            system.z0 = np.zeros(system.spec.pm)
+        assert system.z0 is z0
+
+    def test_minimum_norm_stationary_returns_z0(self):
+        system = random_system(3)
+        assert mx.minimum_norm_stationary(system) is system.z0
+        assert system.z0.tobytes() == (0.5 * system.factor.solve(system.d)).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 5),
+        m=st.integers(2, 4),
+        kind=st.sampled_from(["full", "zero_label", "copy"]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.3, 1.0, 5.0]),
+    )
+    def test_gamma_matches_its_own_solve_bit_for_bit(self, p, m, kind, seed, alpha):
+        assume(p >= 2 or kind != "copy")
+        system = system_of(joint_of_kind(p, m, kind, seed, alpha))
+        assert mx.gamma_lb_closed(system).hex() == legacy_gamma_lb_closed(system).hex()
 
 
 class TestRhoLowerBound:

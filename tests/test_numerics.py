@@ -149,10 +149,6 @@ class TestEighSolve:
         assert_allclose(res.solve(np.ones(3)), 0.0, atol=0)
         assert res.null_basis().shape == (3, 3)
 
-    def test_rejects_a_non_positive_rank_tol(self):
-        with pytest.raises(DimensionMismatch):
-            eigh(np.eye(2)).solve(np.ones(2), rank_tol=0.0)
-
 
 class TestCgMinimumNorm:
     @pytest.mark.parametrize("seed", range(20))

@@ -431,16 +431,18 @@ class TestClosedForm:
 class TestOneFactorization:
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
-        """Calls of the numpy factorizations, by name."""
-        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "qr": 0}
+        """Calls of the numpy factorizations, by name, and of the factor's
+        minimum-norm ``solve``."""
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "qr": 0, "solve": 0}
         for name in calls:
-            real = getattr(np.linalg, name)
+            owner = maxcorr.numerics.SymmetricEigen if name == "solve" else np.linalg
+            real = getattr(owner, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         return calls
 
     def test_one_eigh_per_system(self, linalg_calls):
@@ -448,6 +450,7 @@ class TestOneFactorization:
             (mx.nonadditive_fixture(), False),
             (full_support_joint(4, 3, 2, False), False),
             (degenerate_joint(3, 3, "zero_label", 2, True), True),
+            (degenerate_joint(4, 2, "copy", 5, False), True),
         ):
             for name in linalg_calls:
                 linalg_calls[name] = 0
@@ -461,6 +464,8 @@ class TestOneFactorization:
             # the LP route alone orthonormalizes its basis, by one SVD
             assert linalg_calls["svd"] == int(lp_route)
             assert linalg_calls["qr"] == 0
+            # z0 is solved for once, then read by the bound and the certificate
+            assert linalg_calls["solve"] == 1
 
     def test_factor_is_the_eigh_of_q(self):
         system = system_of(full_support_joint(3, 3, 1, False))
