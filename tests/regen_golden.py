@@ -92,10 +92,14 @@ CASES = {
     # marginal-only: a dataset above the dense cap
     "lower_bound_wide": ["lower-bound", "--data", "wide_p22_m2.csv"],
     "check_tight_wide": ["check-tight", "--data", "wide_p22_m2.csv"],
+    # the same rows with LF line ends and no final one
+    "lower_bound_wide_lf": ["lower-bound", "--data", "wide_p22_m2_lf.csv"],
     # marginal-only past the int64 state index: 2^64 states
     "lower_bound_wide_p64": ["lower-bound", "--data", "wide_p64_m2.csv"],
     "check_tight_wide_p64": ["check-tight", "--data", "wide_p64_m2.csv"],
     "lower_bound_data": ["lower-bound", "--data", "nonadditive_data.csv", "--tol", "1e-6"],
+    # labels 0-11: one and two digits in the same file
+    "lower_bound_data_m12": ["lower-bound", "--data", "data_m12.csv"],
     "check_tight_tol": ["check-tight", "--joint", "random_3x3.csv", "--tol", "1e-6"],
     "oracle_generic": ["oracle", "--generic", "generic.csv"],
     "gaussian_three": ["gaussian", "--moments", "moments_3.json"],
@@ -111,6 +115,8 @@ CASES = {
     "error_stray_label": ["lower-bound", "--data", "stray_label.csv"],
     # nx is read off the largest label, so the table would have 2^41 cells
     "error_generic_stray_label": ["oracle", "--generic", "stray_generic.csv"],
+    "error_dataset_ragged": ["lower-bound", "--data", "ragged.csv"],
+    "error_dataset_float_label": ["lower-bound", "--data", "float_label.csv"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -212,6 +218,10 @@ def write_inputs():
         y = (rng.uniform(size=n) < 0.25 + 0.5 * latent).astype(int)
         write_dataset_csv(mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, y])),
                           INPUTS / f"wide_p{p}_m2.csv")  # fmt: skip
+    crlf = (INPUTS / "wide_p22_m2.csv").read_bytes()
+    (INPUTS / "wide_p22_m2_lf.csv").write_bytes(crlf.replace(b"\r\n", b"\n").rstrip(b"\n"))
+    m12 = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(2, 12), seed=0), n=400, seed=0)
+    write_dataset_csv(m12, INPUTS / "data_m12.csv")
 
     (INPUTS / "generic.csv").write_text("x,y,prob\n0,0,0.5\n1,1,0.25\n2,0,0.25\n")
     (INPUTS / "moments_3.json").write_text(
@@ -221,6 +231,8 @@ def write_inputs():
     write_joint_csv(degenerate, INPUTS / "degenerate.csv")
     (INPUTS / "garbage.csv").write_text("x1,y,prob\n0,0,not_a_number\n")
     (INPUTS / "stray_label.csv").write_text("x1,x2,y\n0,1,0\n1,0,1\n100000,1,1\n")
+    (INPUTS / "ragged.csv").write_text("x1,x2,y\n0,1,0\n1,0\n")
+    (INPUTS / "float_label.csv").write_text("x1,x2,y\n0,1,0\n1.5,0,1\n")
     (INPUTS / "stray_generic.csv").write_text("x,y,prob\n0,0,0.5\n1099511627776,1,0.5\n")
     bad = json.loads((INPUTS / "nonadditive.json").read_text())
     bad["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
