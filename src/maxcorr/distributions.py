@@ -139,10 +139,16 @@ class AlphabetSpec:
 
 
 def one_hot(labels: np.ndarray, m: int, dtype=float) -> np.ndarray:
-    """The (n, p*m) one-hot rows of (n, p) labels in 0..m-1: block i holds X_i."""
+    """The (n, p*m) one-hot rows of (n, p) labels in 0..m-1: block i holds X_i.
+
+    The ones go in by one scatter into the flat array, at
+    ``r * p*m + i*m + labels[r, i]``.
+    """
     n, p = labels.shape
     w = np.zeros((n, p * m), dtype=dtype)
-    w[np.arange(n)[:, None], labels + np.arange(p) * m] = 1.0
+    flat = labels + np.arange(p) * m
+    flat += np.arange(0, n * p * m, p * m)[:, None]
+    w.reshape(-1)[flat] = 1.0
     return w
 
 

@@ -17,6 +17,14 @@ decimal or exponent floats (``0.25``, ``.25``, ``2.5e-1``, ``nan``,
 ``inf``); hex floats and digit separators are rejected.  Every data row
 must have as many fields as the header.
 
+How a dataset body is parsed does not change what it may contain.  A body
+in which every field has the same number of digits (at most 18), fields are
+separated by ``,`` and every row ends in the same ``\\n`` or ``\\r\\n`` (the
+last one optional) is read as one byte view of the file; this is what
+``write_dataset_csv`` writes whenever every label has one digit.  Every
+other body, and every parse error, goes through ``np.loadtxt``, as joint
+and generic CSVs always do.
+
 Alphabet sizes are inferred from the data (max label + 1, at least 2) unless
 passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
 17-significant-digit floats for byte-stable reports.
@@ -25,6 +33,7 @@ passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import warnings
@@ -45,39 +54,102 @@ from .gaussian import GaussianMoments
 from .hgr import GenericJoint
 
 
-def _read_csv(path, header_ok, expected: str):
-    """Parse a CSV body in one numpy call: (int64 label block, float64
-    probability column or None).
+def _read_header(fh, path, header_ok, expected: str) -> list:
+    """The stripped header fields of text file ``fh``, checked by
+    ``header_ok(fields)``."""
+    line = fh.readline()
+    if not line:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader([line]), [])]
+    if not header_ok(header):
+        raise ValidationError(f"{path}: expected header {expected}")
+    return header
 
-    ``header_ok(fields)`` validates the stripped header fields.  When the
-    last one is ``prob`` that column is read as floats and every other
-    column as labels.
+
+def _loadtxt_body(fh, path, header: list):
+    """Parse the CSV body left in text file ``fh`` in one numpy call: (int64
+    label block, float64 probability column or None).
+
+    When the last header field is ``prob`` that column is read as floats
+    and every other column as labels.
     """
-    with open(path) as fh:
-        line = fh.readline()
-        if not line:
-            raise ValidationError(f"{path}: empty file")
-        header = [h.strip() for h in next(csv.reader([line]), [])]
-        if not header_ok(header):
-            raise ValidationError(f"{path}: expected header {expected}")
-        with_prob = header[-1] == "prob"
-        n_labels = len(header) - with_prob
-        dtype = [("labels", np.int64, (n_labels,))]
-        if with_prob:
-            dtype.append(("prob", np.float64))
-        with warnings.catch_warnings():
-            # A header-only file is reported below as a ValidationError.
-            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-            try:
-                cells = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
-                )
-            except ValueError as exc:
-                reason = str(exc).split("; use `usecols`")[0]
-                raise ValidationError(f"{path}: {reason}") from exc
+    with_prob = header[-1] == "prob"
+    dtype = [("labels", np.int64, (len(header) - with_prob,))]
+    if with_prob:
+        dtype.append(("prob", np.float64))
+    with warnings.catch_warnings():
+        # A header-only file is reported below as a ValidationError.
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        try:
+            cells = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+            )
+        except ValueError as exc:
+            reason = str(exc).split("; use `usecols`")[0]
+            raise ValidationError(f"{path}: {reason}") from exc
     if cells.size == 0:
         raise ValidationError(f"{path}: no data rows")
     return cells["labels"], cells["prob"] if with_prob else None
+
+
+def _read_csv(path, header_ok, expected: str):
+    """Header and body of a CSV file, streamed as text through
+    :func:`_loadtxt_body`."""
+    with open(path) as fh:
+        return _loadtxt_body(fh, path, _read_header(fh, path, header_ok, expected))
+
+
+#: Most digits in a fixed-width field: 10**18 - 1 < 2**63 - 1.
+_MAX_DIGITS = 18
+
+
+def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
+    """The (rows, ncols) int64 labels of a dataset body that is a rectangle
+    of bytes, or None for any other body.
+
+    Accepted: every field has the same number ``w`` of decimal digits
+    (``1 <= w <= _MAX_DIGITS``), fields are separated by ``,`` and every row
+    ends in the same ``\\n`` or ``\\r\\n``; the last row may lack it.  The
+    body is viewed in place as (rows, ncols, w + 1) bytes, every digit,
+    separator and terminator byte is checked, and the ``w`` digit columns
+    are summed by Horner's rule.  Anything else, blank lines, spaces,
+    quotes, signs and mixed widths included, is left to the text route.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    head = buf[: _MAX_DIGITS + 1].tobytes()
+    w = len(head) - len(head.lstrip(b"0123456789"))
+    if not 1 <= w <= _MAX_DIGITS:
+        return None
+    field = w + 1
+    last = ncols * field - 1  # offset of the first row's terminator
+    crlf = last < buf.size and buf[last] == ord("\r")
+    line = ncols * field + crlf
+    rows, rest = divmod(buf.size, line)
+    if rest not in (0, last):  # a partial row is the last one, unterminated
+        return None
+    total = rows + (rest > 0)
+    strided = np.lib.stride_tricks.as_strided
+    digits = strided(buf, (total, ncols, w), (line, field, 1), writeable=False)
+    commas = strided(buf[w:], (total, ncols - 1), (line, field), writeable=False)
+    ends = strided(buf[last:], (rows, 1 + crlf), (line, 1), writeable=False)
+    if not (
+        _all_in(digits, ord("0"), ord("9"))
+        and _all_in(commas, ord(","), ord(","))
+        and _all_in(ends[:, :-1], ord("\r"), ord("\r"))
+        and _all_in(ends[:, -1], ord("\n"), ord("\n"))
+    ):
+        return None
+    out = np.empty((total, ncols), dtype=np.int64)
+    np.copyto(out, digits[:, :, 0])
+    for k in range(1, w):
+        out *= 10
+        out += digits[:, :, k]
+    out -= ord("0") * ((10**w - 1) // 9)
+    return out
+
+
+def _all_in(view: np.ndarray, lo: int, hi: int) -> bool:
+    return view.size == 0 or (lo <= view.min() and view.max() <= hi)
 
 
 def read_joint_csv(path, m: int | None = None) -> DiscreteJoint:
@@ -117,11 +189,36 @@ def write_joint_csv(joint: DiscreteJoint, path):
 
 
 def read_dataset_csv(path, m: int | None = None) -> Dataset:
-    rows, _ = _read_csv(path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+    """Load samples; infers p from the header and m from the labels."""
+    rows = _read_dataset_rows(path)
     p = rows.shape[1] - 1
     if m is None:
         m = max(2, 1 + int(rows[:, :p].max()))
     return Dataset(AlphabetSpec(p, m), rows)
+
+
+def _read_dataset_rows(path) -> np.ndarray:
+    """The label rows of a dataset CSV.  The file is read once as bytes, and
+    its bytes are dropped before the caller copies the rows into a
+    :class:`Dataset`.  A body that :func:`_parse_fixed_width` accepts is
+    parsed in place; any other goes through :func:`_loadtxt_body`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with io.TextIOWrapper(io.BytesIO(raw)) as text:
+        header = _read_header(text, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+        rows = _parse_fixed_width(_body_after_header(raw), len(header))
+        if rows is None:
+            rows, _ = _loadtxt_body(text, path, header)
+    return rows
+
+
+def _body_after_header(raw: bytes) -> memoryview:
+    """The bytes after the first line of ``raw``, when that line ends in
+    ``\\n`` or ``\\r\\n`` as a text-mode read would end it, else nothing."""
+    nl = raw.find(b"\n")
+    if nl < 0 or raw.find(b"\r", 0, nl) not in (-1, nl - 1):
+        return memoryview(b"")
+    return memoryview(raw)[nl + 1 :]
 
 
 def write_dataset_csv(data: Dataset, path):

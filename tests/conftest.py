@@ -157,6 +157,14 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
 # ---------------------------------------------------------------------------
 
 
+def legacy_one_hot(labels, m, dtype=float):
+    """One-hot rows by 2-D fancy indexing: row index against column index."""
+    n, p = labels.shape
+    w = np.zeros((n, p * m), dtype=dtype)
+    w[np.arange(n)[:, None], labels + np.arange(p) * m] = 1.0
+    return w
+
+
 def legacy_validate_marginals(marginals, tol=INPUT_TOL):
     spec = marginals.spec
     p = spec.p

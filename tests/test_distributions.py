@@ -30,7 +30,7 @@ from maxcorr.errors import (
 )
 from maxcorr.numerics import LinearProgram, eigh, solve_lp
 
-from conftest import legacy_validate_marginals
+from conftest import legacy_one_hot, legacy_validate_marginals
 
 
 class TestAlphabetSpec:
@@ -240,6 +240,21 @@ class TestGramCounts:
         joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=3, alpha=0.3)
         data = mx.sample_dataset(joint, n=n, seed=3)
         assert_same_tables(via_gram(data), _pairwise_by_pair(data))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 30),
+    p=st.integers(1, 8),
+    m=st.integers(2, 12),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_hot_matches_the_fancy_index_build(n, p, m, dtype, seed):
+    labels = np.random.default_rng(seed).integers(0, m, size=(n, p))
+    got, want = distributions.one_hot(labels, m, dtype), legacy_one_hot(labels, m, dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestConditionalExpectation:

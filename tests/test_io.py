@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
+import maxcorr.io as mio
 from maxcorr.distributions import ATOM_CAP
 from maxcorr.errors import (
     AtomCapExceeded,
@@ -93,6 +95,32 @@ class TestDatasetCsv:
         path.write_text("x1,y\n0,7\n")
         with pytest.raises(ValidationError):
             read_dataset_csv(path)
+
+
+    def test_byte_view_peaks_no_higher_than_loadtxt(self, tmp_path, monkeypatch):
+        """50,000 x 25 single-digit fields.  The whole read peaks no higher on
+        the byte view than on ``np.loadtxt``, and the parse holds nothing
+        beyond the file's bytes and the rows: no second copy of the body."""
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.integers(0, 10, (50_000, 24)), rng.integers(0, 2, 50_000)])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(mx.Dataset(mx.AlphabetSpec(24, 10), rows), path)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                result = read(path)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        parse_peak, parsed = peak(mio._read_dataset_rows)
+        assert np.array_equal(parsed, rows)
+        assert parse_peak < os.path.getsize(path) * 1.1 + parsed.nbytes
+        byte_view, _ = peak(read_dataset_csv)
+        monkeypatch.setattr(mio, "_parse_fixed_width", lambda body, ncols: None)
+        loadtxt, _ = peak(read_dataset_csv)
+        assert byte_view <= loadtxt
 
 
 class TestGenericCsv:
@@ -352,6 +380,134 @@ def test_dataset_reader_matches_csv_route(tmp_path, p, n, seed, spaces, blank_li
     assert np.array_equal(got.rows, want.rows)
 
 
+def loadtxt_rows(path):
+    """The label rows of a dataset CSV by the ``np.loadtxt`` route alone,
+    with the file streamed as text."""
+    with open(path) as fh:
+        header = mio._read_header(fh, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+        return mio._loadtxt_body(fh, path, header)[0]
+
+
+def test_byte_view_reads_nothing_past_the_body():
+    """A body that ends inside a row is refused, even where the bytes after
+    it in the same buffer would complete the row."""
+    buf = memoryview(b"0,0\n0,1\n5,5\n")
+    assert np.array_equal(mio._parse_fixed_width(buf[:8], 2), [[0, 0], [0, 1]])
+    assert np.array_equal(mio._parse_fixed_width(buf[:7], 2), [[0, 0], [0, 1]])
+    for end in (5, 6, 9, 10):
+        assert mio._parse_fixed_width(buf[:end], 2) is None
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ValidationError as exc:
+        return exc
+
+
+#: Bodies that the byte view must leave to ``np.loadtxt``.
+NEAR_MISSES = [
+    "mixed widths",
+    "shifted comma",
+    "other separator",
+    "blank line",
+    "blank line at the end",
+    "space",
+    "quoted field",
+    "plus sign",
+    "minus sign",
+    "19 digits",
+    "non-digit",
+    "CR line ends",
+    "other line end",
+    "ragged row",
+]
+
+
+@st.composite
+def dataset_files(draw):
+    """(text of a dataset CSV, its header fields, its body, near miss or
+    None).  With no near miss every field has the same width and every row
+    the same line end, the last one optional."""
+    ncols, n, width = draw(st.integers(2, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    values = st.integers(0, 10**width - 1)
+    rows = [[str(draw(values)).zfill(width) for _ in range(ncols)] for _ in range(n)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.booleans())
+    miss = draw(st.sampled_from([None, *NEAR_MISSES]))
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, ncols - 1))
+    if miss == "mixed widths":
+        rows[r][c] = "0" + rows[r][c]
+    elif miss == "space":
+        rows[r][c] = draw(st.sampled_from([" ", "\t"])) + rows[r][c]
+    elif miss == "quoted field":
+        rows[r][c] = f'"{rows[r][c]}"'
+    elif miss == "plus sign":
+        rows[r][c] = "+" + rows[r][c]
+    elif miss == "minus sign":
+        rows[r][c] = "-" + rows[r][c]
+    elif miss == "19 digits":
+        rows[r][c] = str(draw(st.integers(10**18, 10**19 - 1)))
+    elif miss == "non-digit":  # same width: "07" becomes " 7" or "a7"
+        rows[r][c] = draw(st.sampled_from(" a.+-")) + rows[r][c][1:]
+    elif miss == "ragged row":
+        del rows[r][c]
+    elif miss == "CR line ends":
+        end = "\r"
+    lines = [",".join(row) for row in rows]
+    if miss == "shifted comma":  # same row length: "00,11" becomes "001,1"
+        k = lines[r].index(",")
+        lines[r] = lines[r][:k] + lines[r][k + 1] + "," + lines[r][k + 2 :]
+    elif miss == "other separator":  # "0,1,2" becomes "0;1,2" or "071,2"
+        k = lines[r].index(",")
+        lines[r] = lines[r][:k] + draw(st.sampled_from(";\t 7")) + lines[r][k + 1 :]
+    elif miss == "blank line":  # after any row but the last
+        lines.insert(draw(st.integers(1, max(1, n - 1))), "")
+    elif miss == "blank line at the end":
+        lines.append("")
+    final |= miss in ("blank line", "blank line at the end", "other line end")
+    header = [f"x{i + 1}" for i in range(ncols - 1)] + ["y"]
+    body = end.join(lines) + (end if final else "")
+    if miss == "other line end":  # one byte of the last row's line end
+        at = len(body) - len(end) + draw(st.integers(0, len(end) - 1))
+        body = body[:at] + draw(st.sampled_from(";7 ")) + body[at + 1 :]
+    return ",".join(header) + end + body, header, body, miss
+
+
+@parity(400)
+@given(dataset_files())
+def test_byte_view_matches_the_loadtxt_route(tmp_path, case):
+    text, header, body, miss = case
+    parsed = mio._parse_fixed_width(body.encode(), len(header))
+    assert (parsed is None) == (miss is not None)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("field", ["0" * 18, "9" * 18, str(2**63 - 1), str(2**63), "9" * 19])
+def test_long_fields_match_the_loadtxt_route(tmp_path, field):
+    """Up to 18 digits the byte view reads the field; from 19 on np.loadtxt
+    reads it or reports the overflow."""
+    body = f"{field},{field}\n" * 2
+    assert (mio._parse_fixed_width(body.encode(), 2) is None) == (len(field) > 18)
+    path = tmp_path / "data.csv"
+    path.write_text("x1,y\n" + body)
+    assert_same_outcome(path)
+
+
+def assert_same_outcome(path):
+    """The byte view and the ``np.loadtxt`` route read ``path`` to equal
+    int64 rows, or raise the same class with the same message."""
+    got, want = outcome(mio._read_dataset_rows, path), outcome(loadtxt_rows, path)
+    if isinstance(want, ValidationError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 @parity(60)
 @given(nx=st.integers(1, 6), ny=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), **layout)
 def test_generic_reader_matches_csv_route(tmp_path, nx, ny, seed, spaces, blank_lines, crlf):
@@ -431,7 +587,7 @@ MALFORMED = [
 @pytest.mark.parametrize(
     "kind,text,error", [(k, t, e) for k, _, t, e in MALFORMED], ids=[f"{k}-{d}" for k, d, _, _ in MALFORMED]
 )
-def test_malformed_input_raises_the_csv_route_class(tmp_path, kind, text, error):
+def test_malformed_input_raises_the_csv_route_class(tmp_path, monkeypatch, kind, text, error):
     path = tmp_path / "input.csv"
     path.write_text(text)
     read, legacy = READERS[kind]
@@ -440,6 +596,12 @@ def test_malformed_input_raises_the_csv_route_class(tmp_path, kind, text, error)
     with pytest.raises(ValidationError) as got:
         read(path)
     assert type(got.value) is type(want.value) is error
+    if kind == "dataset":
+        with monkeypatch.context() as patch:
+            patch.setattr(mio, "_read_dataset_rows", loadtxt_rows)
+            with pytest.raises(error) as want:
+                read(path)
+        assert str(got.value) == str(want.value)
 
 
 @parity(40)
