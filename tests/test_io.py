@@ -96,7 +96,6 @@ class TestDatasetCsv:
         with pytest.raises(ValidationError):
             read_dataset_csv(path)
 
-
     def test_byte_view_peaks_no_higher_than_loadtxt(self, tmp_path, monkeypatch):
         """50,000 x 25 single-digit fields.  The whole read peaks no higher on
         the byte view than on ``np.loadtxt``, and the parse holds nothing
@@ -388,21 +387,23 @@ def loadtxt_rows(path):
         return mio._loadtxt_body(fh, path, header)[0]
 
 
-def test_byte_view_reads_nothing_past_the_body():
-    """A body that ends inside a row is refused, even where the bytes after
-    it in the same buffer would complete the row."""
-    buf = memoryview(b"0,0\n0,1\n5,5\n")
-    assert np.array_equal(mio._parse_fixed_width(buf[:8], 2), [[0, 0], [0, 1]])
-    assert np.array_equal(mio._parse_fixed_width(buf[:7], 2), [[0, 0], [0, 1]])
-    for end in (5, 6, 9, 10):
-        assert mio._parse_fixed_width(buf[:end], 2) is None
-
-
 def outcome(read, path):
     try:
         return read(path)
     except ValidationError as exc:
         return exc
+
+
+def assert_same_outcome(path):
+    """The byte view and the ``np.loadtxt`` route read ``path`` to equal
+    int64 rows, or raise the same class with the same message."""
+    got, want = outcome(mio._read_dataset_rows, path), outcome(loadtxt_rows, path)
+    if isinstance(want, ValidationError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 #: Bodies that the byte view must leave to ``np.loadtxt``.
@@ -485,6 +486,16 @@ def test_byte_view_matches_the_loadtxt_route(tmp_path, case):
     assert_same_outcome(path)
 
 
+def test_byte_view_reads_nothing_past_the_body():
+    """A body that ends inside a row is refused, even where the bytes after
+    it in the same buffer would complete the row."""
+    buf = memoryview(b"0,0\n0,1\n5,5\n")
+    assert np.array_equal(mio._parse_fixed_width(buf[:8], 2), [[0, 0], [0, 1]])
+    assert np.array_equal(mio._parse_fixed_width(buf[:7], 2), [[0, 0], [0, 1]])
+    for end in (5, 6, 9, 10):
+        assert mio._parse_fixed_width(buf[:end], 2) is None
+
+
 @pytest.mark.parametrize("field", ["0" * 18, "9" * 18, str(2**63 - 1), str(2**63), "9" * 19])
 def test_long_fields_match_the_loadtxt_route(tmp_path, field):
     """Up to 18 digits the byte view reads the field; from 19 on np.loadtxt
@@ -494,18 +505,6 @@ def test_long_fields_match_the_loadtxt_route(tmp_path, field):
     path = tmp_path / "data.csv"
     path.write_text("x1,y\n" + body)
     assert_same_outcome(path)
-
-
-def assert_same_outcome(path):
-    """The byte view and the ``np.loadtxt`` route read ``path`` to equal
-    int64 rows, or raise the same class with the same message."""
-    got, want = outcome(mio._read_dataset_rows, path), outcome(loadtxt_rows, path)
-    if isinstance(want, ValidationError):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
-    else:
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want)
 
 
 @parity(60)
@@ -599,9 +598,9 @@ def test_malformed_input_raises_the_csv_route_class(tmp_path, monkeypatch, kind,
     if kind == "dataset":
         with monkeypatch.context() as patch:
             patch.setattr(mio, "_read_dataset_rows", loadtxt_rows)
-            with pytest.raises(error) as want:
+            with pytest.raises(error) as loadtxt:
                 read(path)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == str(loadtxt.value)
 
 
 @parity(40)
