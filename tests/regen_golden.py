@@ -97,6 +97,8 @@ CASES = {
     # marginal-only past the int64 state index: 2^64 states
     "lower_bound_wide_p64": ["lower-bound", "--data", "wide_p64_m2.csv"],
     "check_tight_wide_p64": ["check-tight", "--data", "wide_p64_m2.csv"],
+    # features using 2-4 of 5 labels: eight labels of zero probability
+    "check_tight_mixed_labels": ["check-tight", "--data", "mixed_labels.csv"],
     "lower_bound_data": ["lower-bound", "--data", "nonadditive_data.csv", "--tol", "1e-6"],
     # labels 0-11: one and two digits in the same file
     "lower_bound_data_m12": ["lower-bound", "--data", "data_m12.csv"],
@@ -220,6 +222,13 @@ def write_inputs():
                           INPUTS / f"wide_p{p}_m2.csv")  # fmt: skip
     crlf = (INPUTS / "wide_p22_m2.csv").read_bytes()
     (INPUTS / "wide_p22_m2_lf.csv").write_bytes(crlf.replace(b"\r\n", b"\n").rstrip(b"\n"))
+    # p=4, m=5, 300 rows: the features use 2, 3, 4 and 3 of the five labels.
+    rng = np.random.default_rng(4)
+    used = [[0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 2, 4]]
+    x = np.column_stack([rng.choice(labels, size=300) for labels in used])
+    y = (rng.uniform(size=300) < 0.2 + 0.15 * (x[:, 0] + (x[:, 1] == 2))).astype(int)
+    write_dataset_csv(mx.Dataset(mx.AlphabetSpec(4, 5), np.column_stack([x, y])),
+                      INPUTS / "mixed_labels.csv")  # fmt: skip
     m12 = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(2, 12), seed=0), n=400, seed=0)
     write_dataset_csv(m12, INPUTS / "data_m12.csv")
 
