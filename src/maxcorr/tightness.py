@@ -25,11 +25,18 @@ is taken orthogonal to them.
 When the nullity of Q is at most p - 1, the null space holds nothing but
 the block shifts, every minimizer has the same h values and the answer is
 max(h(z0), h(-z0)) in closed form.  That is the case for every class with
-full support, and then no LP is built and scipy is not imported.  Otherwise
-(a label of zero probability, a feature that copies another, a sparse
-support) a small LP over c decides; the shifts are left out of it because
-they would only give it flat rays, on which HiGHS can fail.  z0 is the
-bound's cached ``QdSystem.z0``, and N comes from the same factor of Q.
+full support.  A label of probability exactly zero (its row of Q and its
+entry of d are 0) adds only its unit direction to null(Q); moving along it
+keeps h(z) and h(-z) while the coordinate stays within the range of its
+block's coordinates on labels of nonzero probability.  So when the nullity
+is p - 1 plus the number of such free labels, the answer is still in closed
+form: z0 with each free coordinate clipped into that range.  On both routes
+no LP is built and scipy is not imported.  Otherwise (a feature that copies another, a sparse
+support, a zero label alongside such directions, or a label of merely
+near-zero probability) a small LP over c decides; the shifts are left out
+of it because they would only give it flat rays, on which HiGHS can fail.
+z0 is the bound's cached ``QdSystem.z0``, and N comes from the same factor
+of Q.
 """
 
 from __future__ import annotations
@@ -153,6 +160,24 @@ def _minimize_h(
     return float(value), z0 + basis @ point[:ndim]
 
 
+def _free_labels(system: QdSystem) -> np.ndarray:
+    """Mask of the free labels: those whose row of Q and entry of d are
+    exactly 0, in a block that keeps a label that is not free."""
+    spec = system.spec
+    free = ((system.d == 0.0) & ~system.q.any(axis=1)).reshape(spec.p, spec.m)
+    return (free & ~free.all(axis=1, keepdims=True)).reshape(spec.pm)
+
+
+def _clip_free(z0: np.ndarray, free: np.ndarray, spec: AlphabetSpec) -> np.ndarray:
+    """z0 with each free coordinate clipped into [min, max] of its block's
+    coordinates that are not free, as a fresh array with -0.0 turned into 0.0."""
+    blocks = z0.reshape(spec.p, spec.m)
+    mask = free.reshape(spec.p, spec.m)
+    lo = np.where(mask, np.inf, blocks).min(axis=1, keepdims=True)
+    hi = np.where(mask, -np.inf, blocks).max(axis=1, keepdims=True)
+    return np.where(mask, np.clip(blocks, lo, hi), blocks).reshape(spec.pm) + 0.0
+
+
 def _certificate(
     z0: np.ndarray, z_min: np.ndarray, value: float, spec: AlphabetSpec, tol: float
 ) -> TightnessCertificate:
@@ -175,17 +200,24 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
 
     The optimum min max(h(z), h(-z)) over all quadratic minimizers
     z = z0 + N c is max(h(z0), h(-z0)) when null(Q) has dimension at most
-    p - 1 (only the block shifts), and otherwise the LP of
-    :func:`_minimize_h` over N, the null space of Q minus the block shifts.
+    p - 1 (only the block shifts).  When its dimension is p - 1 plus the
+    number of free labels (see :func:`_free_labels`), it is max(h(z), h(-z))
+    at z = z0 with the free coordinates clipped into their blocks' ranges.
+    Otherwise it is the LP of :func:`_minimize_h` over N, the null space of
+    Q minus the block shifts.
     """
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec
     z0 = system.z0
     null = system.factor.null_basis()
-    if null.shape[1] <= spec.p - 1:
+    extra = null.shape[1] - (spec.p - 1)
+    if extra <= 0:
         # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
         value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0
+    elif np.count_nonzero(free := _free_labels(system)) == extra:
+        z_min = _clip_free(z0, free, spec)
+        value = max(h_value(z_min, spec), h_value(-z_min, spec))
     else:
         value, z_min = _minimize_h(z0, _without_block_shifts(null, spec), spec)
     return _certificate(z0, z_min, value, spec, tol)

@@ -23,9 +23,12 @@ runs the named cases through the ``maxcorr`` console script instead and
 exits non-zero unless each matches its record:
 
     python tests/regen_golden.py --check-script construct_additive_2x2 check_tight_copy_feature
-  ``--inputs`` draws every input again from fixed
-seeds; the ``cli_small`` inputs come from the benchmark's own set-up
-(``bench/workloads.py``, seed 11).
+
+Any other arguments, or an unknown case name, print the usage to stderr and
+exit 2 without writing anything.
+
+``--inputs`` draws every input again from fixed seeds; the ``cli_small``
+inputs come from the benchmark's own set-up (``bench/workloads.py``, seed 11).
 """
 
 from __future__ import annotations
@@ -371,14 +374,28 @@ def diff_records() -> bool:
     return ok
 
 
+USAGE = "usage: regen_golden.py [--inputs | --diff | --check-script NAME [NAME ...]]\n"
+
+
+def main(argv) -> int:
+    """Rewrite the records (and with ``--inputs`` the inputs first), print
+    ``--diff``, or run ``--check-script`` on known case names.  Any other
+    arguments print the usage and return 2 without writing anything."""
+    if argv in ([], ["--inputs"]):
+        if argv:
+            write_inputs()
+        write_records()
+        return 0
+    if argv == ["--diff"]:
+        return 0 if diff_records() else 1
+    unknown = []
+    if argv[:1] == ["--check-script"]:
+        unknown = [name for name in argv[1:] if name not in CASES]
+        if len(argv) > 1 and not unknown:
+            return 0 if check_script(argv[1:]) else 1
+    sys.stderr.write(USAGE + "".join(f"unknown case: {name}\n" for name in unknown))
+    return 2
+
+
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    if args[:1] == ["--check-script"]:
-        if len(args) == 1:
-            raise SystemExit("--check-script needs at least one case name")
-        sys.exit(0 if check_script(args[1:]) else 1)
-    if args[:1] == ["--diff"]:
-        sys.exit(0 if diff_records() else 1)
-    if "--inputs" in args:
-        write_inputs()
-    write_records()
+    sys.exit(main(sys.argv[1:]))

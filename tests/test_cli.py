@@ -413,8 +413,10 @@ IMPORT_PROBE = textwrap.dedent(
 
 def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
     # A fresh interpreter: this pytest process has scipy loaded (conftest imports it).
-    # Full-support inputs take the closed-form certificate; the copy-feature
-    # set has null directions beyond the block shifts and needs the LP.
+    # Full-support inputs, and labels of zero probability, take the
+    # closed-form certificate; the copy-feature set has null directions
+    # beyond the block shifts and the free labels and needs the LP.
+    data = Path(__file__).parent / "data"
     no_scipy = [
         ["oracle", "--joint", files["nonadditive.csv"]],
         ["lower-bound", "--joint", files["nonadditive.csv"]],
@@ -423,9 +425,10 @@ def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
         ["check-tight", "--marginals", files["marginals.json"]],
         ["construct", "--joint", files["additive.csv"], "--out", files["out"]],
         ["probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01", "--trials", "5"],
+        ["check-tight", "--joint", str(data / "golden" / "inputs" / "zero_label_3x3.csv")],
+        ["check-tight", "--data", str(data / "golden" / "inputs" / "mixed_labels.csv")],
     ]
-    copy_feature = Path(__file__).parent / "data" / "copy_feature_p6_m3.json"
-    lp = ["check-tight", "--marginals", str(copy_feature)]
+    lp = ["check-tight", "--marginals", str(data / "copy_feature_p6_m3.json")]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(no_scipy), json.dumps(lp)],
         capture_output=True,

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -406,15 +406,19 @@ class TestClosedForm:
         assert abs(cert.lp_value - lp.lp_value) <= 1e-14
 
     @pytest.mark.parametrize("p, m", [(1, 2), (2, 2), (3, 3), (6, 3)])
-    def test_no_lp_on_full_support(self, lp_calls, p, m):
+    def test_no_lp_on_full_support(self, lp_calls, monkeypatch, p, m):
+        # nor a search for free labels: nullity <= p - 1 settles the route
+        monkeypatch.setattr(maxcorr.tightness, "_free_labels", None)
         for seed, additive in [(0, True), (1, False)]:
             mx.check_tightness(system_of(full_support_joint(p, m, seed, additive)))
         assert lp_calls == []
 
     @pytest.mark.parametrize("kind", ["zero_label", "copy"])
     def test_one_lp_on_extra_null_directions(self, lp_calls, kind):
+        """A copied feature takes one LP; a zero label alone takes the
+        closed form of :class:`TestZeroLabelClosedForm`."""
         mx.check_tightness(system_of(degenerate_joint(4, 3, kind, seed=5, additive=True)))
-        assert len(lp_calls) == 1
+        assert len(lp_calls) == {"zero_label": 0, "copy": 1}[kind]
 
     def test_copy_feature_fixture_takes_the_lp(self, lp_calls):
         mx.check_tightness(mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json")))
@@ -426,6 +430,112 @@ class TestClosedForm:
             cert = mx.check_tightness(system)
             assert cert.z_star.base is None
             assert not np.shares_memory(cert.z_star, system.factor.v)
+
+
+def zero_label_joint(p, m, counts, seed, additive):
+    """A full-support joint with ``counts[i]`` labels of feature i, drawn
+    from ``seed``, given probability exactly zero."""
+    spec = mx.AlphabetSpec(p, m)
+    prob = np.array(full_support_joint(p, m, seed, additive).prob)
+    rng = np.random.default_rng(seed)
+    states = spec.states()
+    for i, count in enumerate(counts):
+        prob[np.isin(states[:, i], rng.choice(m, size=count, replace=False))] = 0.0
+    return mx.DiscreteJoint(spec, prob / prob.sum())
+
+
+@st.composite
+def zero_label_cases(draw):
+    p, m = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(0, m - 1), min_size=p, max_size=p).filter(any))
+    return p, m, counts, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+class TestZeroLabelClosedForm:
+    """A label of probability exactly zero adds only its unit direction to
+    null(Q), along which h(z) and h(-z) stay put inside the block's range:
+    the certificate is z0 with those coordinates clipped, without the LP."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=zero_label_cases())
+    @example(case=(3, 3, [2, 0, 1], 5, True))  # one support label: two zeros in a block
+    @example(case=(2, 4, [3, 2], 1, False))
+    @example(case=(1, 3, [2], 0, True))
+    def test_matches_the_lp_oracles(self, case):
+        p, m, counts, seed, additive = case
+        system = system_of(zero_label_joint(p, m, counts, seed, additive))
+        free = maxcorr.tightness._free_labels(system)
+        assert np.count_nonzero(free) == sum(counts)
+        # the route: null(Q) is the block shifts and the free labels
+        assert system.factor.null_basis().shape[1] == p - 1 + sum(counts)
+        cert = mx.check_tightness(system)
+        lp = forced_lp_certificate(system)
+        boxed = boxed_tightness_lp(system)
+        assert cert.verdict == lp.verdict
+        assert cert.verdict == ("Tight" if boxed <= 0.5 + cert.tol else "NotTight")
+        assert abs(cert.lp_value - lp.lp_value) <= 1e-14
+        # the boxed oracle evaluates h at HiGHS's point, off by up to ~3e-7
+        assert cert.lp_value == pytest.approx(boxed, abs=1e-6)
+
+        z, z0 = cert.z_star, system.z0
+        assert (cert.h_pos, cert.h_neg) == (mx.h_value(z, system.spec), mx.h_value(-z, system.spec))
+        assert np.linalg.norm(2.0 * system.q @ z - system.d) <= 1e-12
+        if cert.tight:
+            assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
+        # only free coordinates move, and only when z0 has them out of range
+        assert (z[~free] + 0.0).tobytes() == (z0[~free] + 0.0).tobytes()
+        blocks, mask = z0.reshape(p, m), free.reshape(p, m)
+        lo = np.where(mask, np.inf, blocks).min(axis=1, keepdims=True)
+        hi = np.where(mask, -np.inf, blocks).max(axis=1, keepdims=True)
+        if np.all((blocks >= lo) & (blocks <= hi) | ~mask):
+            assert (z + 0.0).tobytes() == (z0 + 0.0).tobytes()
+
+    def test_witness_clips_free_coordinates_into_range(self):
+        clip = maxcorr.tightness._clip_free
+        free = np.array([False, True, False, True, False, False])
+        z0 = np.array([0.3, -0.0, -0.2, 0.1, 0.5, 0.7])
+        z = clip(z0, free, mx.AlphabetSpec(2, 3))
+        assert z.tobytes() == np.array([0.3, 0.0, -0.2, 0.5, 0.5, 0.7]).tobytes()
+        # one support label: the range is that label's value
+        z = clip(np.array([1e-17, -0.4, 0.2]), np.array([True, False, True]), mx.AlphabetSpec(1, 3))
+        assert z.tolist() == [-0.4, -0.4, -0.4]
+
+    def test_a_block_without_support_has_no_free_labels(self, lp_calls):
+        """Q = 0 leaves no range to clip into; the LP decides."""
+        spec = mx.AlphabetSpec(1, 2)
+        system = mx.QdSystem(spec, np.zeros((2, 2)), np.zeros(2), 0.5, np.zeros(2))
+        assert not maxcorr.tightness._free_labels(system).any()
+        assert mx.check_tightness(system).lp_value == 0.0
+        assert len(lp_calls) == 1
+
+    def test_near_zero_probability_takes_the_lp(self, lp_calls):
+        """px = 1e-13 in place of an exact 0: the direction is below the
+        rank cut, but the label is not free, so the LP decides."""
+        joint = zero_label_joint(3, 3, [0, 1, 0], 2, True)
+        k = int(np.flatnonzero(system_of(joint).q.diagonal()[3:6] == 0.0)[0])
+        prob = np.array(joint.prob)
+        hit = joint.spec.states()[:, 1] == k  # feature 2 takes its zero label
+        prob[hit] = 1e-13 / prob[hit].size
+        system = system_of(mx.DiscreteJoint(joint.spec, prob))
+        assert system.q[3 + k, 3 + k] == pytest.approx(1e-13, rel=1e-6)
+        assert system.factor.null_basis().shape[1] == 3
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        assert cert.lp_value == pytest.approx(boxed_tightness_lp(system), abs=1e-8)
+
+    def test_zero_probability_with_a_nonzero_q_entry_takes_the_lp(self, lp_calls):
+        """px exactly 0 but a nonzero entry in the label's row of Q (a set
+        no joint realizes): not free, so the LP decides."""
+        system = system_of(zero_label_joint(3, 3, [0, 1, 0], 2, True))
+        k = int(np.flatnonzero(system.q.diagonal() == 0.0)[0])
+        q = np.array(system.q)
+        q[k, 0] = q[0, k] = 1e-13
+        system = mx.QdSystem(system.spec, q, system.d, system.p_y1, system.e_w)
+        assert system.factor.null_basis().shape[1] == 3
+        assert not maxcorr.tightness._free_labels(system).any()
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        assert cert.lp_value == pytest.approx(forced_lp_certificate(system).lp_value, abs=1e-14)
 
 
 class TestOneFactorization:
@@ -449,7 +559,7 @@ class TestOneFactorization:
         for joint, lp_route in (
             (mx.nonadditive_fixture(), False),
             (full_support_joint(4, 3, 2, False), False),
-            (degenerate_joint(3, 3, "zero_label", 2, True), True),
+            (degenerate_joint(3, 3, "zero_label", 2, True), False),
             (degenerate_joint(4, 2, "copy", 5, False), True),
         ):
             for name in linalg_calls:
@@ -461,7 +571,8 @@ class TestOneFactorization:
             mx.check_tightness(system)
             assert linalg_calls["eigh"] == 1
             assert linalg_calls["eigvalsh"] == 0
-            # the LP route alone orthonormalizes its basis, by one SVD
+            # the LP route alone orthonormalizes its basis, by one SVD; a
+            # zero label alone takes the closed form
             assert linalg_calls["svd"] == int(lp_route)
             assert linalg_calls["qr"] == 0
             # z0 is solved for once, then read by the bound and the certificate
