@@ -37,7 +37,7 @@ from .errors import (
     NotNormalized,
     ValidationError,
 )
-from .numerics import LinearProgram, solve_lp
+from .numerics import solve_lp
 
 #: Tolerance for user-supplied tables (files, hand-built rows).
 INPUT_TOL = 1e-9
@@ -607,13 +607,8 @@ def feasible_member(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -> D
     a_eq[: len(pairs), 0::2] = a_eq[: len(pairs), 1::2] = pairs
     a_eq[len(pairs) : -1] = np.kron(w.reshape(n_states, -1).T, np.eye(2))
     upper = marginals.q.reshape(p, m, p, m)[i, :, j]
-    lp = LinearProgram(
-        objective=np.zeros(spec.n_atoms),
-        a_eq=a_eq,
-        b_eq=np.concatenate([upper.reshape(-1), marginals.xy.reshape(-1), [1.0]]),
-        bounds=(0.0, None),
-    )
-    status, point, _ = solve_lp(lp)
+    b_eq = np.concatenate([upper.reshape(-1), marginals.xy.reshape(-1), [1.0]])
+    status, point, _ = solve_lp(np.zeros(spec.n_atoms), a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
     if status != "Optimal":
         raise InconsistentMarginals(f"no joint realizes these marginals (LP status: {status})")
     prob = np.maximum(point, 0.0).reshape(n_states, 2)

@@ -1,7 +1,8 @@
-"""Dense linear-algebra and small-LP kernel.
+"""Dense linear-algebra and LP kernel.
 
-Thin, contract-checked wrappers over LAPACK (via numpy) and HiGHS (via
-scipy.optimize.linprog), plus a conjugate-gradient solve for consistent
+Thin, contract-checked wrappers over LAPACK (via numpy), a call of HiGHS
+(via scipy.optimize.linprog) whose constraint matrices may be dense arrays
+or ``scipy.sparse`` matrices, and a conjugate-gradient solve for consistent
 positive-semidefinite systems that serves as the iterative counterpart to
 pseudoinverse-based formulas.  :func:`eigh` factors a symmetric matrix once;
 its range, null space and minimum-norm solves all come from that one
@@ -30,12 +31,14 @@ def _require_finite(a: np.ndarray):
         raise NonFinite("matrix contains NaN or infinity")
 
 
+def _above_cut(mag: np.ndarray) -> np.ndarray:
+    """Mask of the magnitudes above ``RANK_TOL`` times the largest: the rank cut."""
+    return mag > RANK_TOL * mag.max(initial=0.0)
+
+
 def numerical_rank(s: np.ndarray) -> int:
     """Count of singular values above ``RANK_TOL * s_max``."""
-    s = np.asarray(s, dtype=float)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+    return int(np.count_nonzero(_above_cut(np.asarray(s, dtype=float))))
 
 
 def pseudoinverse(a: np.ndarray) -> np.ndarray:
@@ -64,8 +67,7 @@ class SymmetricEigen:
 
     def kept(self) -> np.ndarray:
         """Mask of the eigenvalues above the rank cut."""
-        mag = np.abs(self.w)
-        return mag > RANK_TOL * mag.max(initial=0.0)
+        return _above_cut(np.abs(self.w))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``A^+ b`` as ``V_r ((V_r' b) / w_r)``, without forming ``A^+``."""
@@ -128,54 +130,30 @@ def cg_minimum_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class LinearProgram:
-    """min objective @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq, bounds.
+def solve_lp(
+    objective: np.ndarray, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)
+) -> tuple[str, np.ndarray | None, float | None]:
+    """min objective @ x  s.t.  a_ub @ x <= b_ub,  a_eq @ x = b_eq,  bounds;
+    returns ``(status, point, value)``.
 
-    ``bounds`` is either a single (lo, hi) pair applied to every variable or
-    a sequence of pairs; ``None`` endpoints mean unbounded.
-    """
-
-    objective: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    bounds: object = (None, None)
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        if c.ndim != 1:
-            raise DimensionMismatch("objective must be a vector")
-        n = c.shape[0]
-        for name, mat, vec in (("ub", self.a_ub, self.b_ub), ("eq", self.a_eq, self.b_eq)):
-            if (mat is None) != (vec is None):
-                raise DimensionMismatch(f"a_{name} and b_{name} must be given together")
-            if mat is not None:
-                mat = np.asarray(mat, dtype=float)
-                vec = np.asarray(vec, dtype=float)
-                if mat.ndim != 2 or mat.shape[1] != n or vec.shape != (mat.shape[0],):
-                    raise DimensionMismatch(f"a_{name}/b_{name} shapes inconsistent with {n} variables")
-        object.__setattr__(self, "objective", c)
-
-
-def solve_lp(lp: LinearProgram) -> tuple[str, np.ndarray | None, float | None]:
-    """Solve a small dense LP; returns ``(status, point, value)``.
-
-    Status is one of ``"Optimal"``, ``"Infeasible"``, ``"Unbounded"``;
-    anything else from the backend raises :class:`LpFailure`.  HiGHS with
-    tightened feasibility tolerances keeps vertex solutions accurate to
-    ~1e-12 at this scale, and is deterministic for fixed input.
+    The arguments reach ``linprog`` as given: the constraint matrices may be
+    dense arrays or ``scipy.sparse`` matrices, and ``bounds`` is a single
+    (lo, hi) pair for every variable or a sequence of pairs, ``None`` ends
+    meaning unbounded.  Inconsistent shapes raise ``ValueError``.  Status is
+    one of ``"Optimal"``, ``"Infeasible"``, ``"Unbounded"``; anything else
+    from the backend raises :class:`LpFailure`.  HiGHS with tightened
+    feasibility tolerances keeps vertex solutions accurate to ~1e-12 at
+    this scale, and is deterministic for fixed input.
     """
     from scipy.optimize import linprog
 
     res = linprog(
-        lp.objective,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=lp.bounds,
+        objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
         method="highs",
         options={
             "primal_feasibility_tolerance": 1e-10,

@@ -66,7 +66,7 @@ from .errors import (
 )
 from .hgr import flatten_joint, hgr_svd
 from .lowerbound import QdSystem, assemble_qd, rho_lb
-from .numerics import LinearProgram, solve_lp
+from .numerics import solve_lp
 
 #: Default slack for the h <= 1/2 boundary (non-strict in exact arithmetic).
 TIGHT_TOL = 1e-9
@@ -154,7 +154,7 @@ def _minimize_h(
 
     objective = np.zeros(nv)
     objective[-1] = 1.0
-    status, point, value = solve_lp(LinearProgram(objective, a_ub=a_ub, b_ub=b_ub))
+    status, point, value = solve_lp(objective, a_ub=a_ub, b_ub=b_ub)
     if status != "Optimal":
         raise LpFailure(f"tightness LP ended with status {status}")
     return float(value), z0 + basis @ point[:ndim]

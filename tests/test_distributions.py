@@ -28,7 +28,7 @@ from maxcorr.errors import (
     NotNormalized,
     ValidationError,
 )
-from maxcorr.numerics import LinearProgram, eigh, solve_lp
+from maxcorr.numerics import eigh, solve_lp
 
 from conftest import legacy_one_hot, legacy_validate_marginals
 
@@ -553,8 +553,8 @@ class TestSingletonClass:
         for atom in range(spec.n_atoms):
             c = np.zeros(spec.n_atoms)
             c[atom] = 1.0
-            _, _, low = solve_lp(LinearProgram(c, a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None)))
-            _, _, neg_high = solve_lp(LinearProgram(-c, a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None)))
+            _, _, low = solve_lp(c, a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
+            _, _, neg_high = solve_lp(-c, a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
             expected = fixture_atoms[spec.decode(atom // 2) + (atom % 2,)]
             assert low == pytest.approx(expected, abs=1e-9)
             assert -neg_high == pytest.approx(expected, abs=1e-9)
@@ -601,7 +601,6 @@ def build_each_array_dataclass():
         "AdditiveDecomposition": mx.is_additive(joint),
         "GaussianMoments": mx.GaussianMoments(np.zeros(2), np.eye(2)),
         "SymmetricEigen": eigh(np.eye(2)),
-        "LinearProgram": LinearProgram(np.ones(2)),
     }
 
 

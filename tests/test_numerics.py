@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 import maxcorr as mx
 from maxcorr.errors import DimensionMismatch, NonFinite, NotSymmetric
 from maxcorr.numerics import (
-    LinearProgram,
     cg_minimum_norm,
     eigh,
     numerical_rank,
@@ -166,10 +165,22 @@ class TestCgMinimumNorm:
         assert_allclose(cg_minimum_norm(np.eye(3), np.zeros(3)), np.zeros(3), atol=0)
 
 
+def random_lp(seed):
+    """A feasible LP ``(c, a_ub, b_ub, bounds)`` in 2-5 boxed variables."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    n_rows = int(rng.integers(n, 2 * n + 3))
+    a_ub = rng.standard_normal((n_rows, n))
+    x_interior = rng.standard_normal(n)
+    b_ub = a_ub @ x_interior + rng.uniform(0.1, 1.0, size=n_rows)  # feasible by construction
+    c = rng.standard_normal(n)
+    return c, a_ub, b_ub, (-10.0, 10.0)  # the box keeps the optimum bounded
+
+
 class TestSolveLp:
     def test_simple_bound(self):
         status, point, value = solve_lp(
-            LinearProgram(np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-3.0]))
+            np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-3.0])
         )
         assert status == "Optimal"
         assert value == pytest.approx(3.0, abs=1e-9)
@@ -177,46 +188,57 @@ class TestSolveLp:
 
     def test_infeasible(self):
         status, point, value = solve_lp(
-            LinearProgram(
-                np.array([0.0]),
-                a_ub=np.array([[-1.0], [1.0]]),
-                b_ub=np.array([-1.0, 0.0]),
-            )
+            np.array([0.0]), a_ub=np.array([[-1.0], [1.0]]), b_ub=np.array([-1.0, 0.0])
         )
         assert status == "Infeasible"
         assert point is None and value is None
 
     def test_unbounded(self):
-        status, _, _ = solve_lp(LinearProgram(np.array([1.0])))
+        status, _, _ = solve_lp(np.array([1.0]))
         assert status == "Unbounded"
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            LinearProgram(np.array([1.0, 2.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]))
+        with pytest.raises(ValueError):
+            solve_lp(np.array([1.0, 2.0]), a_ub=np.array([[1.0]]), b_ub=np.array([0.0]))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_agrees_with_vertex_enumeration(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        n_rows = int(rng.integers(n, 2 * n + 3))
-        a_ub = rng.standard_normal((n_rows, n))
-        x_interior = rng.standard_normal(n)
-        b_ub = a_ub @ x_interior + rng.uniform(0.1, 1.0, size=n_rows)  # feasible by construction
-        c = rng.standard_normal(n)
-        bounds = (-10.0, 10.0)  # keeps the optimum bounded
-        status, _, value = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds))
+        c, a_ub, b_ub, bounds = random_lp(seed)
+        status, _, value = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
         assert status == "Optimal"
-        oracle = lp_vertex_oracle(c, a_ub=a_ub, b_ub=b_ub, bounds=[bounds] * n)
+        oracle = lp_vertex_oracle(c, a_ub=a_ub, b_ub=b_ub, bounds=[bounds] * len(c))
         assert value == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_sparse_constraints_match_dense_bit_for_bit(self, seed):
+        from scipy.sparse import csr_array
+
+        c, a_ub, b_ub, bounds = random_lp(seed)
+        dense = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        sparse = solve_lp(c, a_ub=csr_array(a_ub), b_ub=b_ub, bounds=bounds)
+        assert sparse[0] == dense[0] == "Optimal"
+        assert sparse[2] == dense[2]
+        assert np.array_equal(sparse[1], dense[1])
+
+    def test_sparse_equality_constraints(self):
+        from scipy.sparse import csr_array
+
+        # x1 + x2 = 1, x >= 0: min x1 - x2 puts all the mass on x2
+        a_eq = np.array([[1.0, 1.0]])
+        args = dict(b_eq=np.array([1.0]), bounds=(0.0, None))
+        dense = solve_lp(np.array([1.0, -1.0]), a_eq=a_eq, **args)
+        sparse = solve_lp(np.array([1.0, -1.0]), a_eq=csr_array(a_eq), **args)
+        assert dense[0] == sparse[0] == "Optimal"
+        assert dense[2] == sparse[2] == -1.0
+        assert np.array_equal(dense[1], sparse[1])
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
         a_ub = rng.standard_normal((6, 3))
         b_ub = np.abs(rng.standard_normal(6)) + 1.0
         c = rng.standard_normal(3)
-        lp = LinearProgram(c, a_ub=a_ub, b_ub=b_ub, bounds=(-5.0, 5.0))
-        first = solve_lp(lp)
-        second = solve_lp(lp)
+        first = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=(-5.0, 5.0))
+        second = solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=(-5.0, 5.0))
         assert first[2] == second[2]
         assert np.array_equal(first[1], second[1])
 

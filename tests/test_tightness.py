@@ -377,9 +377,9 @@ def lp_calls(monkeypatch):
     calls = []
     real = maxcorr.tightness.solve_lp
 
-    def counting(lp):
-        calls.append(lp)
-        return real(lp)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(maxcorr.tightness, "solve_lp", counting)
     return calls
