@@ -87,15 +87,12 @@ def _emit(report: dict):
 
 
 def _load_marginals(args):
-    """(marginals, base_joint_or_None, digest) from --joint/--data/--marginals."""
+    """(marginals, digest) from --joint/--data/--marginals."""
     if args.joint is not None:
-        joint = read_joint_csv(args.joint)
-        return pairwise_from_joint(joint), joint, _digest_file(args.joint)
+        return pairwise_from_joint(read_joint_csv(args.joint)), _digest_file(args.joint)
     if args.data is not None:
-        data = read_dataset_csv(args.data)
-        return pairwise_from_dataset(data), None, _digest_file(args.data)
-    marginals = read_marginals_json(args.marginals)
-    return marginals, None, _digest_file(args.marginals)
+        return pairwise_from_dataset(read_dataset_csv(args.data)), _digest_file(args.data)
+    return read_marginals_json(args.marginals), _digest_file(args.marginals)
 
 
 def _vector(values: np.ndarray) -> list:
@@ -132,7 +129,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    marginals, _, digest = _load_marginals(args)
+    marginals, digest = _load_marginals(args)
     system = assemble_qd(marginals)
     closed = gamma_lb_closed(system)
     iterative = gamma_lb_iterative(system)
@@ -149,7 +146,7 @@ def cmd_lower_bound(args) -> int:
 
 
 def cmd_check_tight(args) -> int:
-    marginals, _, digest = _load_marginals(args)
+    marginals, digest = _load_marginals(args)
     system = assemble_qd(marginals)
     cert = check_tightness(system, tol=args.tol)
     results = {

@@ -36,9 +36,9 @@ class GaussianMoments:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
-        n = mu.shape[0]
-        if mu.ndim != 1 or n < 2:
+        if mu.ndim != 1 or mu.size < 2:
             raise ValidationError("mu must be a vector of length p + 1 >= 2")
+        n = mu.size
         if lam.shape != (n, n):
             raise ValidationError(f"lambda must be {n}x{n}, got {lam.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(lam))):

@@ -9,6 +9,9 @@ Marginals JSON object with ``p``, ``m``, ``xx`` (map "i,j" -> m*m row-major,
 Moments JSON   object with ``mu`` (length p+1, Y last) and ``lambda``
                ((p+1)^2 row-major).
 
+Every file is read as UTF-8 text; other bytes are an input error naming
+the file.
+
 CSV number syntax: fields are comma-separated, may be wrapped in double
 quotes and may carry spaces around them; empty lines are skipped.  Labels
 are decimal integers with an optional sign (``7``, ``+7``, ``-1``) that fit
@@ -32,6 +35,7 @@ passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -52,6 +56,16 @@ from .distributions import (
 from .errors import AtomCapExceeded, ValidationError
 from .gaussian import GaussianMoments
 from .hgr import GenericJoint
+
+
+@contextlib.contextmanager
+def _decoding(path):
+    """Raise bytes of ``path`` that are not UTF-8, met inside the block, as a
+    :class:`ValidationError` naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _read_header(fh, path, header_ok, expected: str) -> list:
@@ -84,6 +98,8 @@ def _loadtxt_body(fh, path, header: list):
             cells = np.loadtxt(
                 fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
             )
+        except UnicodeDecodeError:
+            raise  # for the caller's _decoding
         except ValueError as exc:
             reason = str(exc).split("; use `usecols`")[0]
             raise ValidationError(f"{path}: {reason}") from exc
@@ -95,7 +111,7 @@ def _loadtxt_body(fh, path, header: list):
 def _read_csv(path, header_ok, expected: str):
     """Header and body of a CSV file, streamed as text through
     :func:`_loadtxt_body`."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, _decoding(path):
         return _loadtxt_body(fh, path, _read_header(fh, path, header_ok, expected))
 
 
@@ -204,7 +220,7 @@ def _read_dataset_rows(path) -> np.ndarray:
     parsed in place; any other goes through :func:`_loadtxt_body`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    with io.TextIOWrapper(io.BytesIO(raw)) as text:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as text, _decoding(path):
         header = _read_header(text, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
         rows = _parse_fixed_width(_body_after_header(raw), len(header))
         if rows is None:
@@ -260,7 +276,7 @@ def marginals_from_json_obj(obj: dict) -> PairwiseMarginalSet:
         m = int(obj["m"])
         xy_raw = obj["xy"]
         xx_raw = obj.get("xx", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed marginals object: {exc}") from exc
     spec = AlphabetSpec(p, m)
     xy = np.array([_json_table(xy_raw, "xy", "feature", str(i + 1), m, 2) for i in range(p)])
@@ -271,21 +287,33 @@ def marginals_from_json_obj(obj: dict) -> PairwiseMarginalSet:
 
 
 def _json_table(raw: dict, name: str, what: str, key: str, rows: int, cols: int) -> np.ndarray:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"marginals {name} must be an object")
     if key not in raw:
         raise ValidationError(f"marginals missing {name} table for {what} {key}")
-    tab = np.asarray(raw[key], dtype=float)
+    try:
+        tab = np.asarray(raw[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}[{key}] must be a flat list of numbers") from exc
     if tab.size != rows * cols:
         raise ValidationError(f"{name}[{key}] must have {rows * cols} entries")
     return tab.reshape(rows, cols)
 
 
-def read_marginals_json(path) -> PairwiseMarginalSet:
-    with open(path) as fh:
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh, _decoding(path):
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return marginals_from_json_obj(obj)
+
+
+def read_marginals_json(path) -> PairwiseMarginalSet:
+    obj = _read_json(path)
+    try:
+        return marginals_from_json_obj(obj)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_marginals_json(marginals: PairwiseMarginalSet, path):
@@ -295,17 +323,13 @@ def write_marginals_json(marginals: PairwiseMarginalSet, path):
 
 
 def read_moments_json(path) -> GaussianMoments:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    obj = _read_json(path)
     try:
         mu = np.asarray(obj["mu"], dtype=float)
         lam_flat = np.asarray(obj["lambda"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed moments object: {exc}") from exc
-    n = mu.shape[0]
+    n = mu.size
     if lam_flat.size != n * n:
         raise ValidationError(f"lambda must have {n * n} entries, got {lam_flat.size}")
     return GaussianMoments(mu, lam_flat.reshape(n, n))

@@ -122,6 +122,8 @@ CASES = {
     "error_generic_stray_label": ["oracle", "--generic", "stray_generic.csv"],
     "error_dataset_ragged": ["lower-bound", "--data", "ragged.csv"],
     "error_dataset_float_label": ["lower-bound", "--data", "float_label.csv"],
+    "error_dataset_not_utf8": ["lower-bound", "--data", "latin1.csv"],
+    "error_marginals_non_number": ["check-tight", "--marginals", "non_number.json"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -249,6 +251,9 @@ def write_inputs():
     bad = json.loads((INPUTS / "nonadditive.json").read_text())
     bad["xy"]["1"] = [0.5, 0.5, 0.5, 0.5]
     (INPUTS / "inconsistent.json").write_text(json.dumps(bad, sort_keys=True) + "\n")
+    bad["xy"]["1"] = ["a", 0.25, 0.25, 0.25]
+    (INPUTS / "non_number.json").write_text(json.dumps(bad, sort_keys=True) + "\n")
+    (INPUTS / "latin1.csv").write_bytes("x1,x2,y\n0,1,0\n1,0,1 \u00e9\n".encode("latin-1"))
     # Pairwise-consistent tables whose Q is indefinite: three binary
     # features, each pair always unequal.
     neq = np.array([[0.0, 0.5], [0.5, 0.0]])

@@ -246,6 +246,33 @@ class TestErrorContract:
         assert code == 3
         assert "domain error" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--joint"],
+            ["oracle", "--generic"],
+            ["lower-bound", "--data"],
+            ["check-tight", "--marginals"],
+            ["gaussian", "--moments"],
+        ],
+    )
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("x1,y,prob\n0,0,0.5\n1,1,0.5 \u00e9\n".encode("latin-1"))
+        code, report, captured = run(capsys, [*argv, str(path)])
+        assert code == 2 and report is None
+        assert captured.err == f"input error: {path}: not UTF-8 text (invalid continuation byte)\n"
+
+    @pytest.mark.parametrize(
+        "xy", [{"1": ["a", 0.25, 0.25, 0.25]}, {"1": [[0.25, 0.25], [0.25]]}, "x1"]
+    )
+    def test_a_malformed_marginals_table_is_a_parse_error(self, capsys, tmp_path, xy):
+        path = tmp_path / "marginals.json"
+        path.write_text(json.dumps({"p": 1, "m": 2, "xy": xy}))
+        code, report, captured = run(capsys, ["lower-bound", "--marginals", str(path)])
+        assert code == 2 and report is None
+        assert captured.err.startswith(f"input error: {path}: ")
+
     def test_unknown_flag_is_usage_error(self, capsys, files):
         with pytest.raises(SystemExit) as info:
             main(["oracle", "--nope"])

@@ -205,6 +205,27 @@ class TestMarginalsJson:
         with pytest.raises(ValidationError):
             read_marginals_json(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("xy", {"1": ["a", 0.25, 0.25, 0.25], "2": [0.25] * 4}),
+            ("xy", {"1": [[0.25, 0.25], [0.25]], "2": [0.25] * 4}),
+            ("xy", {"1": {"a": 1}, "2": [0.25] * 4}),
+            ("xy", "x1"),
+            ("xx", "1,2"),
+            ("xx", {"1,2": [0.25, None, "b", 0.25]}),
+            ("p", 1e999),
+        ],
+        ids=["non-number", "ragged", "object entry", "xy string", "xx string", "xx mixed", "p inf"],
+    )
+    def test_malformed_tables_are_validation_errors_naming_the_file(self, tmp_path, key, value):
+        obj = marginals_to_json_obj(mx.pairwise_from_joint(mx.nonadditive_fixture()))
+        obj[key] = value
+        path = tmp_path / "marginals.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=f"^{path}: "):
+            read_marginals_json(path)
+
 
 class TestMomentsJson:
     def test_reads_mu_and_lambda(self, tmp_path):
@@ -219,6 +240,47 @@ class TestMomentsJson:
         path.write_text(json.dumps({"mu": [0, 0], "lambda": [1, 0, 0]}))
         with pytest.raises(ValidationError):
             read_moments_json(path)
+
+    def test_scalar_mu_rejected(self, tmp_path):
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"mu": 5, "lambda": [1]}))
+        with pytest.raises(ValidationError, match="mu must be a vector"):
+            read_moments_json(path)
+
+
+#: reader, file text, and a bad byte's offset past the reader's first
+#: decoded chunk (8192 bytes), so that the CSV body's parse meets it.
+NOT_UTF8 = {
+    "joint": (read_joint_csv, "x1,y,prob\n" + "".join(f"{k},0,0\n" for k in range(2000)) + "1,1,1\n"),
+    "dataset": (read_dataset_csv, "x1,y\n" + "0,0\n" * 4000 + "10,1\n"),
+    "generic": (read_generic_csv, "x,y,prob\n" + "".join(f"{k},0,0\n" for k in range(2000)) + "1,1,1\n"),
+    "marginals": (read_marginals_json, json.dumps(marginals_to_json_obj(
+        mx.pairwise_from_joint(mx.nonadditive_fixture())))),  # fmt: skip
+    "moments": (read_moments_json, json.dumps({"mu": [0, 0], "lambda": [1, 0.5, 0.5, 1]})),
+}
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are a ValidationError naming the file, in
+    every reader, wherever in the file they are."""
+
+    @pytest.mark.parametrize("where", ["first byte", "last byte"])
+    @pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+    def test_raises_a_validation_error_naming_the_file(self, tmp_path, kind, where):
+        read, text = NOT_UTF8[kind]
+        raw = text.encode()
+        raw = b"\xff" + raw if where == "first byte" else raw[:-2] + b"\xe9" + raw[-1:]
+        path = tmp_path / "input"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match=f"^{path}: not UTF-8 text"):
+            read(path)
+
+    @pytest.mark.parametrize("kind", sorted(NOT_UTF8))
+    def test_the_texts_read_as_utf8(self, tmp_path, kind):
+        read, text = NOT_UTF8[kind]
+        path = tmp_path / "input"
+        path.write_bytes(text.encode())
+        read(path)
 
 
 class TestCanonicalJson:
