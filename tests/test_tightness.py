@@ -647,3 +647,92 @@ class TestRankParity:
     @pytest.mark.parametrize("rel", [1e-12, 1e-8])
     def test_matches_the_svd_cut_nearly_singular(self, rel):
         self.assert_same_rank(nearly_singular_system(rel))
+
+
+def certificate_route(system):
+    """The route :func:`check_tightness` takes: ``closed`` (nullity at most
+    p - 1), ``clip`` (zero-probability labels account for the rest) or
+    ``lp``."""
+    extra = system.factor.null_basis().shape[1] - (system.spec.p - 1)
+    if extra <= 0:
+        return "closed"
+    free = maxcorr.tightness._free_labels(system)
+    return "clip" if np.count_nonzero(free) == extra else "lp"
+
+
+def permute_features(joint, order):
+    """Feature k of the result is feature ``order[k]`` of ``joint``."""
+    spec = joint.spec
+    prob = np.zeros_like(joint.prob)
+    prob[spec.encode_rows(spec.states()[:, order])] = joint.prob
+    return mx.DiscreteJoint(spec, prob)
+
+
+def flip_y(joint):
+    return mx.DiscreteJoint(joint.spec, joint.prob[:, ::-1].copy())
+
+
+def append_copy(joint, feature):
+    """``joint`` with a feature p + 1 that always equals ``feature``."""
+    spec = joint.spec
+    wide = mx.AlphabetSpec(spec.p + 1, spec.m)
+    states = wide.states()
+    on = states[:, -1] == states[:, feature]
+    prob = np.zeros((wide.n_states, 2))
+    prob[on] = joint.prob[spec.encode_rows(states[on, :-1])]
+    return mx.DiscreteJoint(wide, prob)
+
+
+#: transform name -> (joint, rng) -> transformed joint
+TRANSFORMS = {
+    "permute_labels": lambda joint, rng: mx.permute_labels(
+        joint, int(rng.integers(joint.spec.p)), rng.permutation(joint.spec.m)
+    ),
+    "permute_features": lambda joint, rng: permute_features(joint, rng.permutation(joint.spec.p)),
+    "flip_y": lambda joint, rng: flip_y(joint),
+    "append_copy": lambda joint, rng: append_copy(joint, int(rng.integers(joint.spec.p))),
+}
+
+#: base kind -> the route its certificate takes
+BASE_ROUTES = {"full": "closed", "zero_label": "clip", "copy": "lp"}
+
+
+class TestMetamorphic:
+    """Relabeling a feature, reordering the features, swapping the two
+    values of Y and appending a copy of a feature leave the marginal class's
+    bound and certificate unchanged: the same verdict, and gamma and
+    lp_value within 1e-13.  ``rho_lb`` is compared squared, since the
+    square root amplifies rounding near 0.  The bases reach all three
+    routes, and an appended copy sends most of them to the LP."""
+
+    @staticmethod
+    def summary(joint):
+        system = system_of(joint)
+        cert = mx.check_tightness(system)
+        bound = mx.rho_lb(system) ** 2
+        return certificate_route(system), cert.verdict, mx.gamma_lb_closed(system), cert.lp_value, bound
+
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(2, 4),
+        m=st.integers(2, 3),
+        kind=st.sampled_from(sorted(BASE_ROUTES)),
+        seed=st.integers(0, 2**32 - 1),
+        additive=st.booleans(),
+    )
+    def test_certificate_is_invariant(self, transform, p, m, kind, seed, additive):
+        if kind == "full":
+            joint = full_support_joint(p, m, seed, additive)
+        else:
+            joint = degenerate_joint(p, m, kind, seed, additive)
+        route, verdict, gamma, lp_value, bound = self.summary(joint)
+        assert route == BASE_ROUTES[kind]
+        moved = TRANSFORMS[transform](joint, np.random.default_rng(seed))
+        route_t, verdict_t, gamma_t, lp_value_t, bound_t = self.summary(moved)
+        if transform != "append_copy":  # a copy of a one-label feature takes the clip
+            assert route_t == route
+        assert verdict_t == verdict
+        assert abs(gamma_t - gamma) <= 1e-13
+        assert abs(lp_value_t - lp_value) <= 1e-13
+        assert abs(bound_t - bound) <= 1e-13
