@@ -301,6 +301,7 @@ def _json_table(raw: dict, name: str, what: str, key: str, rows: int, cols: int)
 
 
 def _read_json(path):
+    """The JSON value held in file ``path``."""
     with open(path, encoding="utf-8") as fh, _decoding(path):
         try:
             return json.load(fh)

@@ -142,8 +142,8 @@ def solve_lp(
     meaning unbounded.  Inconsistent shapes raise ``ValueError``.  Status is
     one of ``"Optimal"``, ``"Infeasible"``, ``"Unbounded"``; anything else
     from the backend raises :class:`LpFailure`.  HiGHS with tightened
-    feasibility tolerances keeps vertex solutions accurate to ~1e-12 at
-    this scale, and is deterministic for fixed input.
+    feasibility tolerances keeps vertex solutions of the LPs built here
+    accurate to ~1e-12, and is deterministic for fixed input.
     """
     from scipy.optimize import linprog
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,7 +224,7 @@ class TestMarginalsJson:
         obj[key] = value
         path = tmp_path / "marginals.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match=f"^{path}: "):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
             read_marginals_json(path)
 
 
@@ -248,14 +249,21 @@ class TestMomentsJson:
             read_moments_json(path)
 
 
-#: reader, file text, and a bad byte's offset past the reader's first
-#: decoded chunk (8192 bytes), so that the CSV body's parse meets it.
+def _joint_text(header):
+    """A valid joint or generic CSV of 2001 rows: longer than the 8192 bytes
+    a text read decodes first, so that a bad last byte reaches the body's parse."""
+    return header + "".join(f"{k},0,0\n" for k in range(2000)) + "1,1,1\n"
+
+
+#: kind -> (reader, text of a valid file)
 NOT_UTF8 = {
-    "joint": (read_joint_csv, "x1,y,prob\n" + "".join(f"{k},0,0\n" for k in range(2000)) + "1,1,1\n"),
-    "dataset": (read_dataset_csv, "x1,y\n" + "0,0\n" * 4000 + "10,1\n"),
-    "generic": (read_generic_csv, "x,y,prob\n" + "".join(f"{k},0,0\n" for k in range(2000)) + "1,1,1\n"),
-    "marginals": (read_marginals_json, json.dumps(marginals_to_json_obj(
-        mx.pairwise_from_joint(mx.nonadditive_fixture())))),  # fmt: skip
+    "joint": (read_joint_csv, _joint_text("x1,y,prob\n")),
+    "dataset": (read_dataset_csv, "x1,y\n" + "0,0\n" * 4000 + "10,1\n"),  # loadtxt route
+    "generic": (read_generic_csv, _joint_text("x,y,prob\n")),
+    "marginals": (
+        read_marginals_json,
+        json.dumps(marginals_to_json_obj(mx.pairwise_from_joint(mx.nonadditive_fixture()))),
+    ),
     "moments": (read_moments_json, json.dumps({"mu": [0, 0], "lambda": [1, 0.5, 0.5, 1]})),
 }
 
@@ -272,15 +280,8 @@ class TestNotUtf8:
         raw = b"\xff" + raw if where == "first byte" else raw[:-2] + b"\xe9" + raw[-1:]
         path = tmp_path / "input"
         path.write_bytes(raw)
-        with pytest.raises(ValidationError, match=f"^{path}: not UTF-8 text"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             read(path)
-
-    @pytest.mark.parametrize("kind", sorted(NOT_UTF8))
-    def test_the_texts_read_as_utf8(self, tmp_path, kind):
-        read, text = NOT_UTF8[kind]
-        path = tmp_path / "input"
-        path.write_bytes(text.encode())
-        read(path)
 
 
 class TestCanonicalJson:
