@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
-from maxcorr.errors import DimensionMismatch, NonFinite, NotSymmetric
+from maxcorr.errors import NonFinite, NotSymmetric
 from maxcorr.numerics import (
     cg_minimum_norm,
     eigh,
