@@ -56,7 +56,6 @@ from .lowerbound import (
     gamma_lb_closed,
     gamma_lb_iterative,
     lsq_objective,
-    minimum_norm_stationary,
     rho_lb,
 )
 from .tightness import (
@@ -107,7 +106,6 @@ __all__ = [
     "lsq_objective",
     "marginal_deviation",
     "min_hgr_gaussian",
-    "minimum_norm_stationary",
     "near_uniform_probe",
     "nonadditive_fixture",
     "pairwise_from_dataset",

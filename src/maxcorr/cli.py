@@ -28,8 +28,6 @@ import hashlib
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .distributions import (
     AlphabetSpec,
@@ -95,10 +93,6 @@ def _load_marginals(args):
     return read_marginals_json(args.marginals), _digest_file(args.marginals)
 
 
-def _vector(values: np.ndarray) -> list:
-    return [None if np.isnan(v) else float(v) for v in np.asarray(values, dtype=float)]
-
-
 def cmd_oracle(args) -> int:
     if args.joint is not None:
         joint = read_joint_csv(args.joint)
@@ -120,8 +114,8 @@ def cmd_oracle(args) -> int:
         "rho": result.rho,
         "rho_cross_check": float(cross),
         "method_delta": abs(result.rho - float(cross)),
-        "f_star": _vector(result.f_star),
-        "g_star": _vector(result.g_star),
+        "f_star": result.f_star,
+        "g_star": result.g_star,
         "degenerate": result.degenerate,
     }
     _emit(_report(args, digest, results))
@@ -138,7 +132,7 @@ def cmd_lower_bound(args) -> int:
         "gamma_lb_iterative": iterative.gamma_lb,
         "gamma_delta": abs(closed - iterative.gamma_lb),
         "rho_lb": rho_lb(system),
-        "z_star": _vector(iterative.z_star),
+        "z_star": iterative.z_star,
         "p_y1": system.p_y1,
     }
     _emit(_report(args, digest, results))
@@ -151,7 +145,7 @@ def cmd_check_tight(args) -> int:
     cert = check_tightness(system, tol=args.tol)
     results = {
         "verdict": cert.verdict,
-        "z_star": _vector(cert.z_star),
+        "z_star": cert.z_star,
         "h_pos": cert.h_pos,
         "h_neg": cert.h_neg,
         "lp_value": cert.lp_value,
@@ -197,7 +191,7 @@ def cmd_gaussian(args) -> int:
     digest = _digest_file(args.moments)
     a = regression_vector(moments)
     results = {
-        "a": _vector(a),
+        "a": a,
         "min_hgr": min_hgr_gaussian(moments),
     }
     _emit(_report(args, digest, results))

@@ -28,8 +28,8 @@ last one optional) is read as one byte view of the file; this is what
 other body, and every parse error, goes through ``np.loadtxt``, as joint
 and generic CSVs always do.
 
-Alphabet sizes are inferred from the data (max label + 1, at least 2) unless
-passed explicitly.  ``dumps_canonical`` renders JSON deterministically with
+Alphabet sizes are inferred from the data (max label + 1, at least 2).
+``dumps_canonical`` renders JSON deterministically with
 17-significant-digit floats for byte-stable reports.
 """
 
@@ -168,7 +168,7 @@ def _all_in(view: np.ndarray, lo: int, hi: int) -> bool:
     return view.size == 0 or (lo <= view.min() and view.max() <= hi)
 
 
-def read_joint_csv(path, m: int | None = None) -> DiscreteJoint:
+def read_joint_csv(path) -> DiscreteJoint:
     """Load a joint table; infers p from the header and m from the labels."""
     labels, prob = _read_csv(
         path,
@@ -177,8 +177,7 @@ def read_joint_csv(path, m: int | None = None) -> DiscreteJoint:
     )
     p = labels.shape[1] - 1
     x = labels[:, :p]
-    if m is None:
-        m = max(2, 1 + int(x.max()))
+    m = max(2, 1 + int(x.max()))
     return joint_from_arrays(AlphabetSpec(p, m), x, labels[:, p], prob)
 
 
@@ -204,12 +203,11 @@ def write_joint_csv(joint: DiscreteJoint, path):
         )
 
 
-def read_dataset_csv(path, m: int | None = None) -> Dataset:
+def read_dataset_csv(path) -> Dataset:
     """Load samples; infers p from the header and m from the labels."""
     rows = _read_dataset_rows(path)
     p = rows.shape[1] - 1
-    if m is None:
-        m = max(2, 1 + int(rows[:, :p].max()))
+    m = max(2, 1 + int(rows[:, :p].max()))
     return Dataset(AlphabetSpec(p, m), rows)
 
 

@@ -61,11 +61,10 @@ class QdSystem:
     q: np.ndarray
     d: np.ndarray
     p_y1: float
-    e_w: np.ndarray
 
     def __post_init__(self):
         pm = self.spec.pm
-        if self.q.shape != (pm, pm) or self.d.shape != (pm,) or self.e_w.shape != (pm,):
+        if self.q.shape != (pm, pm) or self.d.shape != (pm,):
             raise DimensionMismatch("QdSystem arrays inconsistent with spec")
 
     @cached_property
@@ -79,6 +78,11 @@ class QdSystem:
         _check_residual(self, z)
         z.setflags(write=False)
         return z
+
+    @property
+    def e_w(self) -> np.ndarray:
+        """E[w], the marginals P(X_i = k): a read-only view of Q's diagonal."""
+        return np.diagonal(self.q)
 
     @property
     def var_y(self) -> float:
@@ -110,7 +114,7 @@ class DesignSystem:
 
 
 def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
-    """Build (Q, d, P(Y=1), E[w]) from a pairwise marginal set.
+    """Build (Q, d, P(Y=1)) from a pairwise marginal set.
 
     Layout: block i covers indices i*m .. i*m + m - 1 and entry k within the
     block is label k.  Raises :class:`InconsistentMarginals` when the local
@@ -125,8 +129,7 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
     spec = marginals.spec
     pm = spec.pm
     d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(pm)
-    e_w = marginals.px.reshape(pm)
-    system = QdSystem(spec, marginals.q, d, float(marginals.p_y[1]), e_w)
+    system = QdSystem(spec, marginals.q, d, float(marginals.p_y[1]))
     if check:
         min_eig = float(system.factor.w[0])
         if min_eig < -1e-10:
@@ -152,11 +155,6 @@ def _clamp_gamma(gamma: float) -> float:
     if abs(clipped - gamma) > 1e-10:
         logger.warning("gamma_lb %.17g clamped to %.17g", gamma, clipped)
     return clipped
-
-
-def minimum_norm_stationary(system: QdSystem) -> np.ndarray:
-    """The minimum-norm solution of 2Qz = d, z = Q^+ d / 2: the cached ``system.z0``."""
-    return system.z0
 
 
 def gamma_lb_closed(system: QdSystem) -> float:

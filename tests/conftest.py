@@ -145,7 +145,7 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
     form applies: the same z0, null basis and certificate assembly, with
     ``_minimize_h`` deciding over an empty or non-empty basis alike."""
     spec = system.spec
-    z0 = mx.minimum_norm_stationary(system)
+    z0 = system.z0
     basis = tightness._without_block_shifts(system.factor.null_basis(), spec)
     value, z_min = tightness._minimize_h(z0, basis, spec)
     return tightness._certificate(z0, z_min, value, spec, tol)

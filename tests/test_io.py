@@ -65,11 +65,6 @@ class TestJointCsv:
         loaded = read_joint_csv(path)
         assert loaded.spec.m == 3
 
-    def test_explicit_alphabet_override(self, tmp_path):
-        path = tmp_path / "joint.csv"
-        path.write_text("x1,y,prob\n0,0,0.5\n1,1,0.5\n")
-        assert read_joint_csv(path, m=4).spec.m == 4
-
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "joint.csv"
         path.write_text("a,b,c\n0,0,1\n")

@@ -131,14 +131,14 @@ class TestGammaLowerBound:
 
     def test_minimum_norm_z_star_is_orthogonal_to_null_space(self):
         system = system_of(mx.nonadditive_fixture())
-        z = mx.minimum_norm_stationary(system)
+        z = system.z0
         assert z @ np.array([1.0, 1.0, -1.0, -1.0]) == pytest.approx(0.0, abs=1e-12)
         assert np.abs(2 * system.q @ z - system.d).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sign_of_linear_term_does_not_change_minimum(self, seed):
         system = random_system(seed, p=2, m=3)
-        z = mx.minimum_norm_stationary(system)
+        z = system.z0
         minimized = float(z @ system.q @ z - system.d @ z + 0.25)
         flipped = float(z @ system.q @ z + system.d @ (-z) + 0.25)
         assert abs(minimized - flipped) <= 1e-12
@@ -150,13 +150,12 @@ class TestGammaLowerBound:
             q=np.diag([1.0, 0.0]),
             d=np.array([0.0, 1.0]),
             p_y1=0.5,
-            e_w=np.array([1.0, 0.0]),
         )
         # every entry point, each after the one before has failed
         for entry in (
             mx.gamma_lb_closed,
             mx.rho_lb,
-            mx.minimum_norm_stationary,
+            lambda s: s.z0,
             mx.check_tightness,
             mx.gamma_lb_iterative,
         ):
@@ -202,9 +201,8 @@ class TestCachedMinimizer:
             system.z0 = np.zeros(system.spec.pm)
         assert system.z0 is z0
 
-    def test_minimum_norm_stationary_returns_z0(self):
+    def test_z0_is_the_minimum_norm_solve(self):
         system = random_system(3)
-        assert mx.minimum_norm_stationary(system) is system.z0
         assert system.z0.tobytes() == (0.5 * system.factor.solve(system.d)).tobytes()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -260,8 +258,8 @@ class TestRhoLowerBound:
         )
         assert mx.rho_lb(perm_sys) == pytest.approx(mx.rho_lb(base_sys), abs=1e-12)
         # the minimizer's block for that feature is permuted along
-        z_base = mx.minimum_norm_stationary(base_sys)
-        z_perm = mx.minimum_norm_stationary(perm_sys)
+        z_base = base_sys.z0
+        z_perm = perm_sys.z0
         m = 3
         block = slice(feature * m, (feature + 1) * m)
         assert_allclose(z_perm[block][perm], z_base[block], atol=1e-10)

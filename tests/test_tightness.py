@@ -230,7 +230,7 @@ class TestConstructAdditive:
     def test_rejects_h_violation(self):
         base = mx.nonadditive_fixture()
         system = system_of(base)
-        z = mx.minimum_norm_stationary(system)
+        z = system.z0
         with pytest.raises(HConstraintViolated):
             mx.construct_additive(z, base)
 
@@ -503,7 +503,7 @@ class TestZeroLabelClosedForm:
     def test_a_block_without_support_has_no_free_labels(self, lp_calls):
         """Q = 0 leaves no range to clip into; the LP decides."""
         spec = mx.AlphabetSpec(1, 2)
-        system = mx.QdSystem(spec, np.zeros((2, 2)), np.zeros(2), 0.5, np.zeros(2))
+        system = mx.QdSystem(spec, np.zeros((2, 2)), np.zeros(2), 0.5)
         assert not maxcorr.tightness._free_labels(system).any()
         assert mx.check_tightness(system).lp_value == 0.0
         assert len(lp_calls) == 1
@@ -530,7 +530,7 @@ class TestZeroLabelClosedForm:
         k = int(np.flatnonzero(system.q.diagonal() == 0.0)[0])
         q = np.array(system.q)
         q[k, 0] = q[0, k] = 1e-13
-        system = mx.QdSystem(system.spec, q, system.d, system.p_y1, system.e_w)
+        system = mx.QdSystem(system.spec, q, system.d, system.p_y1)
         assert system.factor.null_basis().shape[1] == 3
         assert not maxcorr.tightness._free_labels(system).any()
         cert = mx.check_tightness(system)
@@ -567,7 +567,7 @@ class TestOneFactorization:
             system = system_of(joint)  # assemble_qd(check=True)
             mx.gamma_lb_closed(system)
             mx.rho_lb(system)
-            mx.minimum_norm_stationary(system)
+            system.z0
             mx.check_tightness(system)
             assert linalg_calls["eigh"] == 1
             assert linalg_calls["eigvalsh"] == 0
@@ -597,7 +597,7 @@ def nearly_singular_system(rel):
     q = system.q + (rel * vals[-1] - vals[p - 1]) * np.outer(v, v)
     q = 0.5 * (q + q.T)
     d = system.d - (v @ system.d) * v
-    return mx.QdSystem(system.spec, q, d, system.p_y1, system.e_w)
+    return mx.QdSystem(system.spec, q, d, system.p_y1)
 
 
 class TestNearlySingularQ:
