@@ -65,9 +65,9 @@ class AlphabetSpec:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or self.p < 1:
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
             raise ValidationError(f"p must be an integer >= 1, got {self.p!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValidationError(f"m must be an integer >= 2, got {self.m!r}")
 
     @property

@@ -270,13 +270,12 @@ def marginals_to_json_obj(marginals: PairwiseMarginalSet) -> dict:
 
 def marginals_from_json_obj(obj: dict) -> PairwiseMarginalSet:
     try:
-        p = int(obj["p"])
-        m = int(obj["m"])
+        p, m = obj["p"], obj["m"]
         xy_raw = obj["xy"]
         xx_raw = obj.get("xx", {})
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed marginals object: {exc}") from exc
-    spec = AlphabetSpec(p, m)
+    spec = AlphabetSpec(p, m)  # refuses a float, string or bool p or m
     xy = np.array([_json_table(xy_raw, "xy", "feature", str(i + 1), m, 2) for i in range(p)])
     spec.require_q()
     pairs = itertools.combinations(range(p), 2)
@@ -325,13 +324,16 @@ def read_moments_json(path) -> GaussianMoments:
     obj = _read_json(path)
     try:
         mu = np.asarray(obj["mu"], dtype=float)
-        lam_flat = np.asarray(obj["lambda"], dtype=float)
+        lam = np.asarray(obj["lambda"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed moments object: {exc}") from exc
-    n = mu.size
-    if lam_flat.size != n * n:
-        raise ValidationError(f"lambda must have {n * n} entries, got {lam_flat.size}")
-    return GaussianMoments(mu, lam_flat.reshape(n, n))
+        raise ValidationError(f"{path}: malformed moments object: {exc}") from exc
+    if mu.ndim == 1 and lam.size == mu.size**2:
+        lam = lam.reshape(mu.size, mu.size)
+    try:
+        # GaussianMoments checks mu's shape before lambda's.
+        return GaussianMoments(mu, lam)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,9 @@ CASES = {
     "error_dataset_float_label": ["lower-bound", "--data", "float_label.csv"],
     "error_dataset_not_utf8": ["lower-bound", "--data", "latin1.csv"],
     "error_marginals_non_number": ["check-tight", "--marginals", "non_number.json"],
+    # p read as 2 by truncation would give the nonadditive report
+    "error_marginals_fractional_p": ["lower-bound", "--marginals", "fractional_p.json"],
+    "error_moments_2d_mu": ["gaussian", "--moments", "moments_2d_mu.json"],
     "error_unknown_flag": ["oracle", "--nope"],
 }
 
@@ -253,6 +256,12 @@ def write_inputs():
     (INPUTS / "inconsistent.json").write_text(json.dumps(bad, sort_keys=True) + "\n")
     bad["xy"]["1"] = ["a", 0.25, 0.25, 0.25]
     (INPUTS / "non_number.json").write_text(json.dumps(bad, sort_keys=True) + "\n")
+    fractional = json.loads((INPUTS / "nonadditive.json").read_text())
+    fractional["p"] = 2.7
+    (INPUTS / "fractional_p.json").write_text(json.dumps(fractional, sort_keys=True) + "\n")
+    (INPUTS / "moments_2d_mu.json").write_text(
+        json.dumps({"mu": [[0, 0], [0, 0]], "lambda": [1, 0.5, 0.5, 1]}) + "\n"
+    )
     (INPUTS / "latin1.csv").write_bytes("x1,x2,y\n0,1,0\n1,0,1 \u00e9\n".encode("latin-1"))
     # Pairwise-consistent tables whose Q is indefinite: three binary
     # features, each pair always unequal.

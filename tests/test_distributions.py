@@ -48,7 +48,9 @@ class TestAlphabetSpec:
             assert tuple(states[idx]) == spec.decode(idx)
             assert spec.encode(states[idx]) == idx
 
-    @pytest.mark.parametrize("p,m", [(0, 2), (1, 1), (-1, 3)])
+    @pytest.mark.parametrize(
+        "p,m", [(0, 2), (1, 1), (-1, 3), (True, 2), (1, True), (2.0, 2), (1, "3")]
+    )
     def test_rejects_bad_shape(self, p, m):
         with pytest.raises(ValidationError):
             mx.AlphabetSpec(p, m)

@@ -16,6 +16,7 @@ from maxcorr.distributions import ATOM_CAP
 from maxcorr.errors import (
     AtomCapExceeded,
     DuplicateEntry,
+    InconsistentMoments,
     LabelOutOfRange,
     NegativeProbability,
     NotNormalized,
@@ -211,8 +212,15 @@ class TestMarginalsJson:
             ("xx", "1,2"),
             ("xx", {"1,2": [0.25, None, "b", 0.25]}),
             ("p", 1e999),
+            ("p", 2.7),
+            ("p", "2"),
+            ("p", True),
+            ("m", 2.9),
         ],
-        ids=["non-number", "ragged", "object entry", "xy string", "xx string", "xx mixed", "p inf"],
+        ids=[
+            "non-number", "ragged", "object entry", "xy string", "xx string", "xx mixed",
+            "p inf", "p fractional", "p string", "p bool", "m fractional",
+        ],  # fmt: skip
     )
     def test_malformed_tables_are_validation_errors_naming_the_file(self, tmp_path, key, value):
         obj = marginals_to_json_obj(mx.pairwise_from_joint(mx.nonadditive_fixture()))
@@ -241,6 +249,30 @@ class TestMomentsJson:
         path = tmp_path / "moments.json"
         path.write_text(json.dumps({"mu": 5, "lambda": [1]}))
         with pytest.raises(ValidationError, match="mu must be a vector"):
+            read_moments_json(path)
+
+    @pytest.mark.parametrize(
+        "obj, reason",
+        [
+            ({"mu": [[0, 0], [0, 0]], "lambda": [1, 0.5, 0.5, 1]}, "mu must be a vector"),
+            ({"mu": [[0, 0], [0, 0]], "lambda": [0] * 16}, "mu must be a vector"),
+            ({"lambda": [1, 0, 0, 1]}, "malformed moments object"),
+            ({"mu": [0, 0], "lambda": [1, 0, 0]}, "lambda must be 2x2"),
+            ({"mu": [0, 0], "lambda": [1, 0.5, 0.4, 1]}, "not symmetric"),
+            ({"mu": [0, float("nan")], "lambda": [1, 0, 0, 1]}, "non-finite"),
+        ],
+        ids=["2-D mu", "2-D mu, 16 entries", "no mu", "short lambda", "asymmetric", "nan"],
+    )
+    def test_validation_errors_name_the_file(self, tmp_path, obj, reason):
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: .*{reason}"):
+            read_moments_json(path)
+
+    def test_unrealizable_moments_stay_a_domain_error(self, tmp_path):
+        path = tmp_path / "moments.json"
+        path.write_text(json.dumps({"mu": [0, 0], "lambda": [1, 2, 2, 1]}))
+        with pytest.raises(InconsistentMoments, match="^covariance has eigenvalue"):
             read_moments_json(path)
 
 
@@ -369,6 +401,21 @@ def rendered(dumps, obj):
 @given(documents)
 def test_dumps_canonical_matches_item_by_item_route(obj):
     assert rendered(dumps_canonical, obj) == rendered(legacy_dumps_canonical, obj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hnp.arrays(np.float64, st.integers(0, 12), elements=floats))
+def test_arrays_render_as_the_list_reports_once_built(a):
+    """Reports hand their float64 arrays to ``dumps_canonical`` as they are.
+    The bytes are those of the list the CLI once built from each, NaN as
+    None; infinity raises on both."""
+    old = [None if np.isnan(v) else float(v) for v in a]
+    if np.isinf(a).any():
+        for obj in (a, old):
+            with pytest.raises(ValidationError, match="cannot serialize infinity"):
+                dumps_canonical(obj)
+    else:
+        assert dumps_canonical(a) == dumps_canonical(old)
 
 
 # ---------------------------------------------------------------------------
