@@ -92,6 +92,7 @@ CASES = {
     # the LP route: a copied feature, a label that never occurs
     "check_tight_copy_feature": ["check-tight", "--marginals", "copy_feature_p6_m3.json"],
     "lower_bound_copy_feature": ["lower-bound", "--marginals", "copy_feature_p6_m3.json"],
+    "check_tight_sparse_support": ["check-tight", "--joint", "sparse_support_4x2.csv"],
     # marginal-only: a dataset above the dense cap
     "lower_bound_wide": ["lower-bound", "--data", "wide_p22_m2.csv"],
     "check_tight_wide": ["check-tight", "--data", "wide_p22_m2.csv"],
@@ -212,6 +213,16 @@ def write_inputs():
         else:
             joint = mx.random_joint(spec, seed=seed, alpha=alpha)
         joint_files(name, joint, marginals=name in ("random_3x2", "additive_5x3"))
+
+    # p=4, m=2: 70% of the states never occur, which leaves null(Q) with
+    # directions that are not free labels, so the certificate takes the LP.
+    spec = mx.AlphabetSpec(4, 2)
+    prob = np.array(mx.random_joint(spec, seed=1).prob)
+    rng = np.random.default_rng(1)
+    keep = rng.uniform(size=spec.n_states) < 0.3
+    keep[rng.choice(spec.n_states, size=2, replace=False)] = True  # both y values occur
+    prob[~keep] = 0.0
+    joint_files("sparse_support_4x2", mx.DiscreteJoint(spec, prob / prob.sum()))
 
     shutil.copy(HERE / "data" / "copy_feature_p6_m3.json", INPUTS)
     data = mx.sample_dataset(mx.nonadditive_fixture(), n=200, seed=0)
