@@ -30,13 +30,17 @@ entry of d are 0) adds only its unit direction to null(Q); moving along it
 keeps h(z) and h(-z) while the coordinate stays within the range of its
 block's coordinates on labels of nonzero probability.  So when the nullity
 is p - 1 plus the number of such free labels, the answer is still in closed
-form: z0 with each free coordinate clipped into that range.  On both routes
-no LP is built and scipy is not imported.  Otherwise (a feature that copies another, a sparse
-support, a zero label alongside such directions, or a label of merely
-near-zero probability) a small LP over c decides; the shifts are left out
-of it because they would only give it flat rays, on which HiGHS can fail.
-z0 is the bound's cached ``QdSystem.z0``, and N comes from the same factor
-of Q.
+form: z0 with each free coordinate clipped into that range.  A feature X_j
+that is a function g of another feature X_i (a copy, or a binned version)
+adds the directions e_(j,l) - sum over g(k) = l of e_(i,k); moving z_j into
+z_i along them raises neither h(z) nor h(-z).  So when the free labels and
+such features account for the whole nullity, the answer is z0 merged that
+way, its free coordinates clipped.  On these routes no LP is built and scipy
+is not imported.  Otherwise (a sparse support that no dependency explains,
+or a label of merely near-zero probability) a small LP over c decides; the
+shifts are left out of it because they would only give it flat rays, on
+which HiGHS can fail.  z0 is the bound's cached ``QdSystem.z0``, and N comes
+from the same factor of Q.
 """
 
 from __future__ import annotations
@@ -178,6 +182,58 @@ def _clip_free(z0: np.ndarray, free: np.ndarray, spec: AlphabetSpec) -> np.ndarr
     return np.where(mask, np.clip(blocks, lo, hi), blocks).reshape(spec.pm) + 0.0
 
 
+def _merge_functions(system: QdSystem, free: np.ndarray) -> tuple[np.ndarray, int]:
+    """z0 merged along the features that are functions of others, and the
+    number of null directions beyond the block shifts and the free labels
+    that this accounts for.
+
+    X_j is a function g of X_i when every support row k of block (i, j) of Q
+    has exactly one nonzero entry, in column g(k).  Each
+    e_(j,l) - sum over k in g^-1(l) of e_(i,k) then lies in null(Q), so moving
+    z_j[g(k)] into z_i[k] and setting z_j to 0 gives another minimizer, with
+    h(z) and h(-z) no larger.  Pairs are merged in row-major order, skipping
+    any whose feature has already been merged away; each merged j adds
+    |supp j| - 1 directions.  A feature with a label that is neither in the
+    support nor free (possible only in a Q no joint realizes) is not merged.
+    """
+    p, m = system.spec.p, system.spec.m
+    support = system.q.diagonal().reshape(p, m) > 0.0
+    nonzero = system.q.reshape(p, m, p, m) != 0.0
+    function = ((nonzero.sum(axis=3) == 1) | ~support[:, :, None]).all(axis=1)
+    function &= support.any(axis=1)[:, None] & (support | free.reshape(p, m)).all(axis=1)
+    np.fill_diagonal(function, False)
+    z = system.z0.reshape(p, m).copy()
+    gone = np.zeros(p, dtype=bool)
+    merged = 0
+    for i, j in zip(*np.nonzero(function)):
+        if gone[i] or gone[j]:
+            continue
+        rows = support[i]
+        z[i, rows] += z[j, nonzero[i, rows, j].argmax(axis=1)]
+        z[j] = 0.0
+        gone[j] = True
+        merged += int(np.count_nonzero(support[j])) - 1
+    return z.reshape(p * m), merged
+
+
+def _known_null_minimizer(system: QdSystem, extra: int) -> np.ndarray | None:
+    """A minimizer attaining min max(h(z), h(-z)) when the free labels and
+    the features that are functions of others account for all ``extra``
+    null directions beyond the block shifts, else None.
+
+    Every move along those directions is a move of z0 that leaves h(z) and
+    h(-z) no larger once the free coordinates are clipped into range, so the
+    merged z0 with its free labels clipped attains the optimum.  The merge
+    runs only when the free labels alone fall short.
+    """
+    free = _free_labels(system)
+    z, known = system.z0, np.count_nonzero(free)
+    if known < extra:
+        z, merged = _merge_functions(system, free)
+        known += merged
+    return _clip_free(z, free, system.spec) if known == extra else None
+
+
 def _certificate(
     z0: np.ndarray, z_min: np.ndarray, value: float, spec: AlphabetSpec, tol: float
 ) -> TightnessCertificate:
@@ -200,11 +256,13 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
 
     The optimum min max(h(z), h(-z)) over all quadratic minimizers
     z = z0 + N c is max(h(z0), h(-z0)) when null(Q) has dimension at most
-    p - 1 (only the block shifts).  When its dimension is p - 1 plus the
-    number of free labels (see :func:`_free_labels`), it is max(h(z), h(-z))
-    at z = z0 with the free coordinates clipped into their blocks' ranges.
-    Otherwise it is the LP of :func:`_minimize_h` over N, the null space of
-    Q minus the block shifts.
+    p - 1 (only the block shifts).  When the free labels (see
+    :func:`_free_labels`) and the features that are functions of others (see
+    :func:`_merge_functions`) account for every further dimension, it is
+    max(h(z), h(-z)) at z0 merged along those features, with the free
+    coordinates clipped into their blocks' ranges.  Otherwise it is the LP
+    of :func:`_minimize_h` over N, the null space of Q minus the block
+    shifts.
     """
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
@@ -215,8 +273,7 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
     if extra <= 0:
         # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
         value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0
-    elif np.count_nonzero(free := _free_labels(system)) == extra:
-        z_min = _clip_free(z0, free, spec)
+    elif (z_min := _known_null_minimizer(system, extra)) is not None:
         value = max(h_value(z_min, spec), h_value(-z_min, spec))
     else:
         value, z_min = _minimize_h(z0, _without_block_shifts(null, spec), spec)

@@ -440,9 +440,10 @@ IMPORT_PROBE = textwrap.dedent(
 
 def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
     # A fresh interpreter: this pytest process has scipy loaded (conftest imports it).
-    # Full-support inputs, and labels of zero probability, take the
-    # closed-form certificate; the copy-feature set has null directions
-    # beyond the block shifts and the free labels and needs the LP.
+    # Full-support inputs, labels of zero probability and a copied feature
+    # take the closed-form certificate; the sparse-support joint has null
+    # directions that neither free labels nor dependent features explain,
+    # and needs the LP.
     data = Path(__file__).parent / "data"
     no_scipy = [
         ["oracle", "--joint", files["nonadditive.csv"]],
@@ -454,8 +455,9 @@ def test_scipy_loads_only_on_the_lp_and_witness_routes(files):
         ["probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01", "--trials", "5"],
         ["check-tight", "--joint", str(data / "golden" / "inputs" / "zero_label_3x3.csv")],
         ["check-tight", "--data", str(data / "golden" / "inputs" / "mixed_labels.csv")],
+        ["check-tight", "--marginals", str(data / "copy_feature_p6_m3.json")],
     ]
-    lp = ["check-tight", "--marginals", str(data / "copy_feature_p6_m3.json")]
+    lp = ["check-tight", "--joint", str(data / "golden" / "inputs" / "sparse_support_4x2.csv")]
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, json.dumps(no_scipy), json.dumps(lp)],
         capture_output=True,
