@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -297,8 +297,9 @@ class TestNearUniformProbe:
 def degenerate_joint(p, m, kind, seed, additive):
     """A joint with nullity(Q) > p - 1: the last label of one feature
     (``zero_label``) or of two features (``zero_labels``) never occurs, one
-    feature copies another (``copy``), or most X-states have probability
-    zero (``sparse``)."""
+    feature copies another (``copy``), most X-states have probability zero
+    (``sparse``), or only p(m - 1) X-states occur (``thin``), fewer than the
+    pm - p + 1 a Q with only the block shifts in its null space needs."""
     spec = mx.AlphabetSpec(p, m)
     base = mx.additive_fixture(spec, seed) if additive else mx.random_joint(spec, seed)
     rng = np.random.default_rng(seed)
@@ -310,6 +311,10 @@ def degenerate_joint(p, m, kind, seed, additive):
     elif kind == "sparse":
         keep = rng.uniform(size=spec.n_states) < 0.3
         keep[rng.choice(spec.n_states, size=2, replace=False)] = True  # both y values occur
+        prob[~keep] = 0.0
+    elif kind == "thin":
+        keep = np.zeros(spec.n_states, dtype=bool)
+        keep[rng.choice(spec.n_states, size=p * (m - 1), replace=False)] = True
         prob[~keep] = 0.0
     else:
         i, j = rng.choice(p, size=2, replace=False)
@@ -407,22 +412,27 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("p, m", [(1, 2), (2, 2), (3, 3), (6, 3)])
     def test_no_lp_on_full_support(self, lp_calls, monkeypatch, p, m):
-        # nor a search for free labels: nullity <= p - 1 settles the route
+        # nor a search for free labels or dependent features: nullity <= p - 1
+        # settles the route
         monkeypatch.setattr(maxcorr.tightness, "_free_labels", None)
+        monkeypatch.setattr(maxcorr.tightness, "_merge_functions", None)
         for seed, additive in [(0, True), (1, False)]:
             mx.check_tightness(system_of(full_support_joint(p, m, seed, additive)))
         assert lp_calls == []
 
-    @pytest.mark.parametrize("kind", ["zero_label", "copy"])
+    @pytest.mark.parametrize("kind", ["zero_label", "copy", "thin"])
     def test_one_lp_on_extra_null_directions(self, lp_calls, kind):
-        """A copied feature takes one LP; a zero label alone takes the
-        closed form of :class:`TestZeroLabelClosedForm`."""
+        """A thin support takes one LP; a zero label alone takes the
+        closed form of :class:`TestZeroLabelClosedForm`, a copied feature
+        that of :class:`TestDependentFeatureClosedForm`."""
         mx.check_tightness(system_of(degenerate_joint(4, 3, kind, seed=5, additive=True)))
-        assert len(lp_calls) == {"zero_label": 0, "copy": 1}[kind]
+        assert len(lp_calls) == {"zero_label": 0, "copy": 0, "thin": 1}[kind]
 
-    def test_copy_feature_fixture_takes_the_lp(self, lp_calls):
-        mx.check_tightness(mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json")))
-        assert len(lp_calls) == 1
+    def test_copy_feature_fixture_takes_no_lp(self, lp_calls):
+        system = mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json"))
+        cert = mx.check_tightness(system)
+        assert lp_calls == []
+        assert abs(cert.lp_value - forced_lp_certificate(system).lp_value) <= 1e-14
 
     def test_witness_is_a_fresh_array(self):
         for joint in (mx.nonadditive_fixture(), full_support_joint(3, 2, 4, True)):
@@ -538,6 +548,123 @@ class TestZeroLabelClosedForm:
         assert cert.lp_value == pytest.approx(forced_lp_certificate(system).lp_value, abs=1e-14)
 
 
+def dependent_joint(p, m, derived, seed, additive, zero_label):
+    """A joint on p features, of which the last ``len(derived)`` are drawn
+    from the first ones and then all are shuffled by ``seed``.
+
+    ``derived`` lists (source, kind) per derived feature: the feature is a
+    function of the feature at index ``source`` among those before it, so
+    chains occur.  ``kind`` is ``copy`` (a random relabeling), ``map`` (a
+    random map of the labels, many-to-one in general) or ``constant``.  The
+    shuffle puts a feature before or after its source.  With ``zero_label``
+    one label of the first feature never occurs.
+    """
+    rng = np.random.default_rng(seed)
+    b = p - len(derived)
+    base = full_support_joint(b, m, seed, additive)
+    x = mx.AlphabetSpec(b, m).states()
+    prob = np.array(base.prob)
+    if zero_label:
+        prob[x[:, 0] == rng.integers(m)] = 0.0
+    for source, kind in derived:
+        g = {
+            "copy": rng.permutation(m),
+            "map": rng.integers(m, size=m),
+            "constant": np.full(m, rng.integers(m)),
+        }[kind]
+        x = np.column_stack([x, g[x[:, source]]])
+    x = x[:, rng.permutation(p)]
+    spec = mx.AlphabetSpec(p, m)
+    out = np.zeros((spec.n_states, 2))
+    np.add.at(out, spec.encode_rows(x), prob)
+    return mx.DiscreteJoint(spec, out / out.sum())
+
+
+@st.composite
+def dependent_cases(draw):
+    p, m = draw(st.integers(2, 6)), draw(st.integers(2, 4))
+    b = draw(st.integers(1, p - 1))
+    kinds = st.sampled_from(["copy", "map", "constant"])
+    derived = [(draw(st.integers(0, k - 1)), draw(kinds)) for k in range(b, p)]
+    return p, m, derived, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans())
+
+
+class TestDependentFeatureClosedForm:
+    """A feature that is a function of another adds null directions along
+    which z moves into the other feature's block without raising h(z) or
+    h(-z): the certificate is z0 merged that way, without the LP.  The LP
+    stays the oracle, and decides wherever the merge leaves a direction
+    unexplained."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=dependent_cases())
+    @example(case=(3, 3, [(0, "copy"), (1, "copy")], 1, True, False))  # a chain of copies
+    @example(case=(4, 4, [(1, "map"), (0, "constant")], 2, False, True))
+    @example(case=(2, 2, [(0, "constant")], 3, True, True))
+    @example(case=(6, 2, [(1, "copy"), (4, "map")], 4, False, False))
+    def test_matches_the_lp(self, case):
+        p, m, derived, seed, additive, zero_label = case
+        system = system_of(dependent_joint(p, m, derived, seed, additive, zero_label))
+        cert = mx.check_tightness(system)
+        lp = forced_lp_certificate(system)
+        assert cert.verdict == lp.verdict
+        assert abs(cert.lp_value - lp.lp_value) <= 1e-11
+        z, spec = cert.z_star, system.spec
+        assert (cert.h_pos, cert.h_neg) == (mx.h_value(z, spec), mx.h_value(-z, spec))
+        if cert.tight:
+            assert np.linalg.norm(2.0 * system.q @ z - system.d) <= 1e-9
+            assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
+
+        # the merge alone keeps z a minimizer and raises neither h
+        free = maxcorr.tightness._free_labels(system)
+        merged, _ = maxcorr.tightness._merge_functions(system, free)
+        z0 = system.z0
+        assert np.linalg.norm(2.0 * system.q @ merged - system.d) <= 1e-9
+        assert mx.h_value(merged, spec) <= mx.h_value(z0, spec) + 1e-12
+        assert mx.h_value(-merged, spec) <= mx.h_value(-z0, spec) + 1e-12
+
+    def test_merges_copies_maps_and_chains(self, lp_calls):
+        """X2 a relabeled copy of X1, X3 a many-to-one map of X2, X4 constant:
+        the merge accounts for every null direction beyond the shifts."""
+        derived = [(0, "copy"), (1, "map"), (0, "constant")]
+        system = system_of(dependent_joint(5, 3, derived, 7, True, False))
+        free = maxcorr.tightness._free_labels(system)
+        _, merged = maxcorr.tightness._merge_functions(system, free)
+        extra = system.factor.null_basis().shape[1] - (system.spec.p - 1)
+        assert extra == np.count_nonzero(free) + merged > np.count_nonzero(free)
+        mx.check_tightness(system)
+        assert lp_calls == []
+
+    def test_off_entry_takes_the_lp(self, lp_calls):
+        """X3 a copy of X1, with 1e-13 in place of a zero of their block:
+        the direction stays below the rank cut, but X3 is no longer a
+        function of X1, so the LP decides."""
+        system = system_of(append_copy(full_support_joint(2, 3, 4, True), 0))
+        exact = mx.check_tightness(system)
+        assert lp_calls == []
+        q = np.array(system.q)
+        q[0, 7] = q[7, 0] = 1e-13  # row (1, 0), column (3, 1)
+        system = mx.QdSystem(system.spec, q, system.d, system.p_y1)
+        assert system.factor.null_basis().shape[1] == 2 + 2
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        assert cert.verdict == exact.verdict
+        assert cert.lp_value == pytest.approx(exact.lp_value, abs=1e-9)
+
+    @pytest.mark.parametrize("with_copy", [False, True])
+    def test_unexplained_direction_takes_the_lp(self, lp_calls, with_copy):
+        """X2 is a function of X1 on this support, but a null direction that
+        no dependency explains is left, with or without an appended copy."""
+        joint = degenerate_joint(4, 2, "sparse", 1, False)
+        system = system_of(append_copy(joint, 0) if with_copy else joint)
+        _, merged = maxcorr.tightness._merge_functions(system, maxcorr.tightness._free_labels(system))
+        assert merged > 0
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        lp = forced_lp_certificate(system)
+        assert (cert.verdict, cert.lp_value) == (lp.verdict, lp.lp_value)
+
+
 class TestOneFactorization:
     @pytest.fixture
     def linalg_calls(self, monkeypatch):
@@ -560,7 +687,8 @@ class TestOneFactorization:
             (mx.nonadditive_fixture(), False),
             (full_support_joint(4, 3, 2, False), False),
             (degenerate_joint(3, 3, "zero_label", 2, True), False),
-            (degenerate_joint(4, 2, "copy", 5, False), True),
+            (degenerate_joint(4, 2, "copy", 5, False), False),
+            (degenerate_joint(4, 2, "sparse", 1, False), True),
         ):
             for name in linalg_calls:
                 linalg_calls[name] = 0
@@ -572,7 +700,7 @@ class TestOneFactorization:
             assert linalg_calls["eigh"] == 1
             assert linalg_calls["eigvalsh"] == 0
             # the LP route alone orthonormalizes its basis, by one SVD; a
-            # zero label alone takes the closed form
+            # zero label or a copied feature takes a closed form
             assert linalg_calls["svd"] == int(lp_route)
             assert linalg_calls["qr"] == 0
             # z0 is solved for once, then read by the bound and the certificate
@@ -651,13 +779,15 @@ class TestRankParity:
 
 def certificate_route(system):
     """The route :func:`check_tightness` takes: ``closed`` (nullity at most
-    p - 1), ``clip`` (zero-probability labels account for the rest) or
-    ``lp``."""
+    p - 1), ``clip`` (zero-probability labels account for the rest),
+    ``merge`` (features that are functions of others account for what the
+    zero-probability labels leave) or ``lp``."""
     extra = system.factor.null_basis().shape[1] - (system.spec.p - 1)
     if extra <= 0:
         return "closed"
-    free = maxcorr.tightness._free_labels(system)
-    return "clip" if np.count_nonzero(free) == extra else "lp"
+    if np.count_nonzero(maxcorr.tightness._free_labels(system)) == extra:
+        return "clip"
+    return "lp" if maxcorr.tightness._known_null_minimizer(system, extra) is None else "merge"
 
 
 def permute_features(joint, order):
@@ -693,8 +823,9 @@ TRANSFORMS = {
     "append_copy": lambda joint, rng: append_copy(joint, int(rng.integers(joint.spec.p))),
 }
 
-#: base kind -> the route its certificate takes
-BASE_ROUTES = {"full": "closed", "zero_label": "clip", "copy": "lp"}
+#: base kind -> the route its certificate takes; a thin base is drawn again
+#: when zero labels or dependent features explain its support
+BASE_ROUTES = {"full": "closed", "zero_label": "clip", "copy": "merge", "thin": "lp"}
 
 
 class TestMetamorphic:
@@ -702,8 +833,8 @@ class TestMetamorphic:
     values of Y and appending a copy of a feature leave the marginal class's
     bound and certificate unchanged: the same verdict, and gamma and
     lp_value within 1e-13.  ``rho_lb`` is compared squared, since the
-    square root amplifies rounding near 0.  The bases reach all three
-    routes, and an appended copy sends most of them to the LP."""
+    square root amplifies rounding near 0.  The bases reach all four
+    routes, and an appended copy sends most of them to the merge."""
 
     @staticmethod
     def summary(joint):
@@ -727,6 +858,7 @@ class TestMetamorphic:
         else:
             joint = degenerate_joint(p, m, kind, seed, additive)
         route, verdict, gamma, lp_value, bound = self.summary(joint)
+        assume(kind != "thin" or route == "lp")
         assert route == BASE_ROUTES[kind]
         moved = TRANSFORMS[transform](joint, np.random.default_rng(seed))
         route_t, verdict_t, gamma_t, lp_value_t, bound_t = self.summary(moved)
