@@ -182,7 +182,7 @@ def _clip_free(z0: np.ndarray, free: np.ndarray, spec: AlphabetSpec) -> np.ndarr
     return np.where(mask, np.clip(blocks, lo, hi), blocks).reshape(spec.pm) + 0.0
 
 
-def _merge_functions(system: QdSystem, free: np.ndarray) -> tuple[np.ndarray, int]:
+def _merge_functions(system: QdSystem) -> tuple[np.ndarray, int]:
     """z0 merged along the features that are functions of others, and the
     number of null directions beyond the block shifts and the free labels
     that this accounts for.
@@ -193,14 +193,14 @@ def _merge_functions(system: QdSystem, free: np.ndarray) -> tuple[np.ndarray, in
     z_j[g(k)] into z_i[k] and setting z_j to 0 gives another minimizer, with
     h(z) and h(-z) no larger.  Pairs are merged in row-major order, skipping
     any whose feature has already been merged away; each merged j adds
-    |supp j| - 1 directions.  A feature with a label that is neither in the
-    support nor free (possible only in a Q no joint realizes) is not merged.
+    |supp j| - 1 directions.  A block of Q that is all zero (no joint has
+    one) has no support rows, and nothing is merged into it.
     """
     p, m = system.spec.p, system.spec.m
     support = system.q.diagonal().reshape(p, m) > 0.0
     nonzero = system.q.reshape(p, m, p, m) != 0.0
     function = ((nonzero.sum(axis=3) == 1) | ~support[:, :, None]).all(axis=1)
-    function &= support.any(axis=1)[:, None] & (support | free.reshape(p, m)).all(axis=1)
+    function &= support.any(axis=1)[:, None]
     np.fill_diagonal(function, False)
     z = system.z0.reshape(p, m).copy()
     gone = np.zeros(p, dtype=bool)
@@ -229,7 +229,7 @@ def _known_null_minimizer(system: QdSystem, extra: int) -> np.ndarray | None:
     free = _free_labels(system)
     z, known = system.z0, np.count_nonzero(free)
     if known < extra:
-        z, merged = _merge_functions(system, free)
+        z, merged = _merge_functions(system)
         known += merged
     return _clip_free(z, free, system.spec) if known == extra else None
 

@@ -616,8 +616,7 @@ class TestDependentFeatureClosedForm:
             assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
 
         # the merge alone keeps z a minimizer and raises neither h
-        free = maxcorr.tightness._free_labels(system)
-        merged, _ = maxcorr.tightness._merge_functions(system, free)
+        merged, _ = maxcorr.tightness._merge_functions(system)
         z0 = system.z0
         assert np.linalg.norm(2.0 * system.q @ merged - system.d) <= 1e-9
         assert mx.h_value(merged, spec) <= mx.h_value(z0, spec) + 1e-12
@@ -629,7 +628,7 @@ class TestDependentFeatureClosedForm:
         derived = [(0, "copy"), (1, "map"), (0, "constant")]
         system = system_of(dependent_joint(5, 3, derived, 7, True, False))
         free = maxcorr.tightness._free_labels(system)
-        _, merged = maxcorr.tightness._merge_functions(system, free)
+        _, merged = maxcorr.tightness._merge_functions(system)
         extra = system.factor.null_basis().shape[1] - (system.spec.p - 1)
         assert extra == np.count_nonzero(free) + merged > np.count_nonzero(free)
         mx.check_tightness(system)
@@ -651,13 +650,27 @@ class TestDependentFeatureClosedForm:
         assert cert.verdict == exact.verdict
         assert cert.lp_value == pytest.approx(exact.lp_value, abs=1e-9)
 
+    def test_nothing_merges_into_a_block_without_support(self, lp_calls):
+        """Block 1 of Q all zero: every feature is vacuously a function of
+        it, but merging into it would zero z_2, which is no null move."""
+        inner = system_of(full_support_joint(1, 3, 2, True))
+        q = np.zeros((6, 6))
+        q[3:, 3:] = inner.q
+        d = np.concatenate([np.zeros(3), inner.d])
+        system = mx.QdSystem(mx.AlphabetSpec(2, 3), q, d, inner.p_y1)
+        _, merged = maxcorr.tightness._merge_functions(system)
+        assert merged == 0
+        cert = mx.check_tightness(system)
+        assert len(lp_calls) == 1
+        assert cert.lp_value == forced_lp_certificate(system).lp_value
+
     @pytest.mark.parametrize("with_copy", [False, True])
     def test_unexplained_direction_takes_the_lp(self, lp_calls, with_copy):
         """X2 is a function of X1 on this support, but a null direction that
         no dependency explains is left, with or without an appended copy."""
         joint = degenerate_joint(4, 2, "sparse", 1, False)
         system = system_of(append_copy(joint, 0) if with_copy else joint)
-        _, merged = maxcorr.tightness._merge_functions(system, maxcorr.tightness._free_labels(system))
+        _, merged = maxcorr.tightness._merge_functions(system)
         assert merged > 0
         cert = mx.check_tightness(system)
         assert len(lp_calls) == 1
