@@ -13,11 +13,12 @@ during computation, 4 ``construct`` on a class without an additive member.
 ``oracle``, ``lower-bound`` and ``gaussian`` never load scipy.
 ``check-tight``, ``construct`` and ``probe-uniform`` import ``scipy.optimize``
 only when the tightness certificate needs its LP, that is when Q has null
-directions beyond the block shifts and the labels of zero probability (a
-feature that copies another, a sparse support, or a zero label alongside
-either); on full-support inputs, and on inputs that merely leave some
-labels unused (such as datasets whose features have different numbers of
-categories), they load no scipy either.  The script entry point is
+directions beyond the block shifts that neither the labels of zero
+probability nor features that are functions of others (copies, binned
+versions) explain, as a sparse support can leave; on full-support inputs,
+on inputs that merely leave some labels unused (such as datasets whose
+features have different numbers of categories) and on inputs with copied
+or binned features, they load no scipy either.  The script entry point is
 :func:`run`.
 """
 

@@ -89,9 +89,10 @@ CASES = {
         "probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01", "--trials", "20",
         "--seed", "442307189",
     ],  # fmt: skip
-    # the LP route: a copied feature, a label that never occurs
+    # a copied feature, merged into its source in closed form
     "check_tight_copy_feature": ["check-tight", "--marginals", "copy_feature_p6_m3.json"],
     "lower_bound_copy_feature": ["lower-bound", "--marginals", "copy_feature_p6_m3.json"],
+    # the LP route: a sparse support that no dependency explains
     "check_tight_sparse_support": ["check-tight", "--joint", "sparse_support_4x2.csv"],
     # marginal-only: a dataset above the dense cap
     "lower_bound_wide": ["lower-bound", "--data", "wide_p22_m2.csv"],
@@ -215,7 +216,8 @@ def write_inputs():
         joint_files(name, joint, marginals=name in ("random_3x2", "additive_5x3"))
 
     # p=4, m=2: 70% of the states never occur, which leaves null(Q) with
-    # directions that are not free labels, so the certificate takes the LP.
+    # directions that neither free labels nor dependent features explain, so
+    # the certificate takes the LP.
     spec = mx.AlphabetSpec(4, 2)
     prob = np.array(mx.random_joint(spec, seed=1).prob)
     rng = np.random.default_rng(1)
