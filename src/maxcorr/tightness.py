@@ -212,7 +212,7 @@ def _merge_functions(system: QdSystem) -> tuple[np.ndarray, int]:
         z[i, rows] += z[j, nonzero[i, rows, j].argmax(axis=1)]
         z[j] = 0.0
         gone[j] = True
-        merged += int(np.count_nonzero(support[j])) - 1
+        merged += np.count_nonzero(support[j]) - 1
     return z.reshape(p * m), merged
 
 

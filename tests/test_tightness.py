@@ -615,12 +615,14 @@ class TestDependentFeatureClosedForm:
             assert np.linalg.norm(2.0 * system.q @ z - system.d) <= 1e-9
             assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
 
-        # the merge alone keeps z a minimizer and raises neither h
+        # the merge, with the free labels clipped, keeps z a minimizer and
+        # raises neither h
         merged, _ = maxcorr.tightness._merge_functions(system)
+        z = maxcorr.tightness._clip_free(merged, maxcorr.tightness._free_labels(system), spec)
         z0 = system.z0
-        assert np.linalg.norm(2.0 * system.q @ merged - system.d) <= 1e-9
-        assert mx.h_value(merged, spec) <= mx.h_value(z0, spec) + 1e-12
-        assert mx.h_value(-merged, spec) <= mx.h_value(-z0, spec) + 1e-12
+        assert np.linalg.norm(2.0 * system.q @ z - system.d) <= 1e-9
+        assert mx.h_value(z, spec) <= mx.h_value(z0, spec) + 1e-12
+        assert mx.h_value(-z, spec) <= mx.h_value(-z0, spec) + 1e-12
 
     def test_merges_copies_maps_and_chains(self, lp_calls):
         """X2 a relabeled copy of X1, X3 a many-to-one map of X2, X4 constant:
