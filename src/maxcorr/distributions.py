@@ -50,10 +50,15 @@ Q_CAP = 2**26
 #: One-hot entries per row chunk of the count Gram (a 4 MB float32 block);
 #: below 2^24, so every chunk's float32 counts are exact.
 GRAM_CHUNK = 2**20
-#: Largest m for which the count Gram replaces the pair loop above the cap.
-#: Per row the Gram does (pm)^2 multiply-adds and the loop p^2 / 2 bincount
-#: steps, so the loop wins once m grows; on one BLAS thread they break even
-#: near m = 7 at p = 8 and near m = 16 at p = 12.
+#: Largest m for which a dataset's tables come from the count Gram, not the
+#: pair loop: per row the Gram does (pm)^2 multiply-adds, the loop p^2 / 2
+#: bincount steps.  Best-of-5 ms, Gram / loop, n = 50,000, one BLAS thread:
+#:     p \ m      4        8       12       16       20       24
+#:       3    1.9/1.6  3.2/1.5  3.9/1.5  7.4/1.9  8.7/1.6   10/1.6
+#:       8    4.6/16   8.2/17    11/16    18/16    21/16    37/19
+#:      12     14/39    17/43    25/41    38/43    52/41    70/42
+#:      24     16/165   31/172   51/152   95/162  115/155  171/153
+#: No single value is no slower on every shape, so 6 stays for now.
 GRAM_MAX_M = 6
 
 
@@ -417,25 +422,19 @@ def empirical_joint(data: Dataset) -> DiscreteJoint:
 
 
 def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
-    """Empirical pairwise marginals of a dataset.
+    """Empirical pairwise marginals of a dataset, counted from its rows at
+    every size, without the ``m^p`` joint table.
 
-    Under the dense cap this routes through the empirical joint, so it agrees
-    with ``pairwise_from_joint(empirical_joint(data))`` bit for bit.
-
-    Above the cap, for ``m <= GRAM_MAX_M``, ``Q`` is one count Gram over
-    ``n``: with ``W`` the (n, pm) one-hot matrix of the features, ``G = W'W``
-    holds the pair counts in its off-diagonal blocks and the label counts on
-    its diagonal, and ``W'y`` the label counts with ``Y = 1``.  The counts
-    are exact (see :func:`_pairwise_counts`), so each entry is an integer
-    count divided by ``n``, the value a per-pair ``np.bincount`` gives.  Rows
-    are taken in chunks of about ``GRAM_CHUNK`` one-hot entries, so the extra
-    memory is ``G``, its copy ``Q`` and a few MB whatever ``n``.  For larger
-    ``m`` the Gram's (pm)^2 work per row outgrows the pair loop's, and the
-    tables are counted one ``np.bincount`` per feature and per pair.
+    For ``m <= GRAM_MAX_M``, ``Q`` is the count Gram ``W'W`` of the (n, pm)
+    one-hot matrix ``W`` over ``n``: pair counts in its off-diagonal blocks,
+    label counts on its diagonal; ``W'y`` counts the labels with ``Y = 1``.
+    The counts are exact (see :func:`_pairwise_counts`), so each entry is an
+    integer count divided by ``n`` once.  Rows are taken in chunks of about
+    ``GRAM_CHUNK`` one-hot entries, so the extra memory is the Gram, its copy
+    ``Q`` and a few MB whatever ``n``.  For larger ``m`` the tables are
+    counted one ``np.bincount`` per feature and per pair.
     """
     spec = data.spec
-    if spec.n_atoms <= ATOM_CAP:
-        return pairwise_from_joint(empirical_joint(data))
     spec.require_q()
     if spec.m > GRAM_MAX_M:
         return _pairwise_by_pair(data)

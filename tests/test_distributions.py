@@ -184,16 +184,42 @@ class TestDatasets:
         assert_same_tables(mx.pairwise_from_dataset(data), _pairwise_by_pair(data))
 
     @pytest.mark.parametrize("m", [GRAM_MAX_M + 1, 12])
-    def test_many_labels_above_the_cap_count_pair_by_pair(self, m):
+    def test_many_labels_count_pair_by_pair(self, m):
         data = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(3, m), seed=m), n=900, seed=m)
         via_joint = mx.pairwise_from_joint(empirical_joint(data))
-        gram = mock.patch.object(distributions, "_pairwise_counts", side_effect=AssertionError("Gram taken"))
-        with mock.patch.object(distributions, "ATOM_CAP", 0), gram:
+        with mock.patch.object(distributions, "_pairwise_counts", side_effect=AssertionError("Gram taken")):
             via_loop = mx.pairwise_from_dataset(data)
         assert_allclose(via_loop.px, via_joint.px, atol=0)
         assert_allclose(via_loop.xy, via_joint.xy, atol=0)
         for key in via_joint.xx:
             assert_allclose(via_loop.xx[key], via_joint.xx[key], atol=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        m=st.integers(2, 8),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        y_kind=st.sampled_from(["random", "zeros", "ones"]),
+    )
+    def test_tables_are_exact_counts_over_n(self, p, m, n, seed, y_kind):
+        """Both sides of ``GRAM_MAX_M`` give integer counts divided by n once.
+        The joint route sums up to m^(p-1) atoms per entry; over 3000 draws
+        in this range it moved by at most 4.6e-15 (at p = 6), so 1e-14."""
+        rng = np.random.default_rng(seed)
+        tops = rng.integers(1, m + 1, size=p)  # feature i never takes labels >= tops[i]
+        x = (rng.uniform(size=(n, p)) * tops).astype(np.int64)
+        y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n, int), "ones": np.ones(n, int)}[y_kind]
+        data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y]))
+        got = mx.pairwise_from_dataset(data)
+
+        w = legacy_one_hot(x, m)
+        assert np.array_equal(got.q, (w.T @ w) / n)
+        assert np.array_equal(got.xy, np.stack([w.T @ (1 - y), w.T @ y], axis=1).reshape(p, m, 2) / n)
+
+        via_joint = mx.pairwise_from_joint(empirical_joint(data))
+        assert_allclose(got.q, via_joint.q, rtol=0, atol=1e-14)
+        assert_allclose(got.xy, via_joint.xy, rtol=0, atol=1e-14)
 
     def test_rejects_empty_and_bad_labels(self):
         spec = mx.AlphabetSpec(1, 2)
@@ -211,7 +237,7 @@ def assert_same_tables(got, want):
 def via_gram(data, **patches):
     """``pairwise_from_dataset`` on the count Gram route, whatever p and m."""
     loop = mock.patch.object(distributions, "_pairwise_by_pair", side_effect=AssertionError("loop taken"))
-    with mock.patch.multiple(distributions, ATOM_CAP=0, GRAM_MAX_M=data.spec.m, **patches), loop:
+    with mock.patch.multiple(distributions, GRAM_MAX_M=data.spec.m, **patches), loop:
         return mx.pairwise_from_dataset(data)
 
 
