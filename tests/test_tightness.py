@@ -295,11 +295,14 @@ class TestNearUniformProbe:
 
 
 def degenerate_joint(p, m, kind, seed, additive):
-    """A joint with nullity(Q) > p - 1: the last label of one feature
-    (``zero_label``) or of two features (``zero_labels``) never occurs, one
-    feature copies another (``copy``), most X-states have probability zero
-    (``sparse``), or only p(m - 1) X-states occur (``thin``), fewer than the
-    pm - p + 1 a Q with only the block shifts in its null space needs."""
+    """A joint with zero-probability X-states.  Four kinds give
+    nullity(Q) > p - 1: the last label of one feature (``zero_label``) or of
+    two features (``zero_labels``) never occurs, one feature copies another
+    (``copy``), or only p(m - 1) X-states occur (``thin``), fewer than the
+    pm - p + 1 a Q with only the block shifts in its null space needs.
+    ``sparse`` keeps about 30% of the X-states, which mostly leaves only the
+    block shifts: over seeds 0-29, p 2-4 and m 2-3 with ``additive=False``,
+    122 of 180 draws have nullity(Q) = p - 1."""
     spec = mx.AlphabetSpec(p, m)
     base = mx.additive_fixture(spec, seed) if additive else mx.random_joint(spec, seed)
     rng = np.random.default_rng(seed)
