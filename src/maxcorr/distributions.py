@@ -8,14 +8,15 @@ marginal sets that summarize them:
 * ``mu^{i}[k, y]  = P(X_i = k, Y = y)`` for every feature.
 
 X-states are encoded in mixed radix with ``x_1`` least significant, so state
-``x`` maps to index ``x_1 + x_2*m + ... + x_p*m^(p-1)``.  This fixes the
-iteration order for every table, flattening, and file in the package.
+``x`` maps to index ``x_1 + x_2*m + ... + x_p*m^(p-1)`` (``AlphabetSpec.shape``
+in Fortran order).  This fixes the iteration order for every table,
+flattening, and file in the package.
 
 Dense full-joint operations are capped at ``2 * m^p <= 2**22`` atoms; larger
 problems must stay in marginal form.  A pairwise marginal set is stored as
 the (pm, pm) matrix ``Q = E[w w']`` of the one-hot features ``w``, capped at
-``Q_CAP`` entries, plus the ``mu^{i}`` tables; only this module knows the
-block layout of ``Q``.
+``Q_CAP`` entries, plus the ``mu^{i}`` tables.  This module builds ``Q``,
+and ``tightness._free_labels`` and ``_merge_functions`` also read it by blocks.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ class AlphabetSpec:
             raise ValidationError(f"m must be an integer >= 2, got {self.m!r}")
 
     @property
+    def shape(self) -> tuple:
+        """Axes (x_1, ..., x_p) of the states; read in Fortran order, x_1 fastest."""
+        return (self.m,) * self.p
+
+    @property
     def n_states(self) -> int:
         return self.m**self.p
 
@@ -101,12 +107,7 @@ class AlphabetSpec:
 
     def encode(self, x) -> int:
         """Mixed-radix state index of label tuple ``x`` (x_1 least significant)."""
-        x = tuple(int(v) for v in x)
-        if len(x) != self.p:
-            raise LabelOutOfRange(f"expected {self.p} labels, got {len(x)}")
-        if any(v < 0 or v >= self.m for v in x):
-            raise LabelOutOfRange(f"labels {x} outside 0..{self.m - 1}")
-        return sum(v * self.m**i for i, v in enumerate(x))
+        return int(self.encode_rows([x])[0])
 
     def encode_rows(self, labels) -> np.ndarray:
         """State indices of an (n, p) label array, the vectorized :meth:`encode`.
@@ -117,13 +118,9 @@ class AlphabetSpec:
         # Exact integer arithmetic; guards m^p against int64 overflow.
         if self.m**self.p >= 2**62:
             raise ValidationError(f"m^p = {self.m}^{self.p} overflows the state index")
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _labels(labels, self.m)
         if labels.ndim != 2 or labels.shape[1] != self.p:
             raise LabelOutOfRange(f"expected {self.p} labels per row, got shape {labels.shape}")
-        bad = ((labels < 0) | (labels >= self.m)).any(axis=1)
-        if bad.any():
-            x = tuple(int(v) for v in labels[np.argmax(bad)])
-            raise LabelOutOfRange(f"labels {x} outside 0..{self.m - 1}")
         return labels @ self.m ** np.arange(self.p, dtype=np.int64)
 
     def decode(self, idx: int) -> tuple:
@@ -134,9 +131,7 @@ class AlphabetSpec:
     def states(self) -> np.ndarray:
         """All state label tuples as an (m^p, p) array, in index order."""
         self.require_dense()
-        idx = np.arange(self.n_states)
-        cols = [(idx // self.m**i) % self.m for i in range(self.p)]
-        return np.stack(cols, axis=1)
+        return np.stack(np.unravel_index(np.arange(self.n_states), self.shape, order="F"), axis=1)
 
     def indicator_matrix(self) -> np.ndarray:
         """One-hot rows w_x over all states: (m^p, p*m), block i holds X_i."""
@@ -157,8 +152,40 @@ def one_hot(labels: np.ndarray, m: int, dtype=float) -> np.ndarray:
     return w
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _labels(a, hi: int, what: str = "labels") -> np.ndarray:
+    """``a`` as int64 labels, or :class:`LabelOutOfRange` naming the first
+    row with a value that is not an integer in ``0..hi-1`` (0.7 included).
+    Integer input costs one min and one max and is not copied."""
+    x = np.atleast_1d(a)
+    whole = x.dtype.kind in "biu"
+    if not whole:
+        try:
+            x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise LabelOutOfRange(f"{what} must be integers: {exc}") from exc
+    if x.size == 0 or (x.min() >= 0 and x.max() < hi and (whole or np.all(x == np.floor(x)))):
+        return x.astype(np.int64, copy=False)
+    bad = (x < 0) | (x >= hi) | (x != np.floor(x))  # out of range, a fraction or NaN
+    k = int(np.argmax(bad.reshape(len(x), -1).any(axis=1)))
+    row = tuple(x[k].tolist()) if x.ndim > 1 else x[k].item()
+    raise LabelOutOfRange(f"{what} {row} at row {k} not in 0..{hi - 1}")
+
+
+def probability_table(prob: np.ndarray, tol: float, negative=NegativeProbability) -> np.ndarray:
+    """A read-only copy of ``prob`` once it is finite, non-negative (else
+    ``negative`` is raised) and sums to 1 within ``tol``."""
+    if not np.all(np.isfinite(prob)):
+        raise ValidationError("joint table contains non-finite entries")
+    if np.any(prob < 0):
+        raise negative(f"negative probability {float(prob.min())}")
+    total = float(prob.sum())
+    if abs(total - 1.0) > tol:
+        raise NotNormalized(f"probabilities sum to {total}, not 1 within {tol}")
+    return _freeze(prob)
+
+
+def _freeze(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -185,15 +212,7 @@ class DiscreteJoint:
             raise ValidationError(
                 f"joint table must have shape {(self.spec.n_states, 2)}, got {prob.shape}"
             )
-        if not np.all(np.isfinite(prob)):
-            raise ValidationError("joint table contains non-finite entries")
-        if np.any(prob < 0):
-            worst = float(prob.min())
-            raise NegativeProbability(f"negative probability {worst}")
-        total = float(prob.sum())
-        if abs(total - 1.0) > self.tol:
-            raise NotNormalized(f"probabilities sum to {total}, not 1 within {self.tol}")
-        object.__setattr__(self, "prob", _freeze(prob))
+        object.__setattr__(self, "prob", probability_table(prob, self.tol))
 
     @property
     def p_y1(self) -> float:
@@ -213,22 +232,15 @@ class Dataset:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int)
-        if rows.ndim != 2 or rows.shape[1] != self.spec.p + 1:
-            raise ValidationError(
-                f"dataset rows must have shape (n, {self.spec.p + 1}), got {rows.shape}"
-            )
+        p = self.spec.p
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.shape[1] != p + 1:
+            raise ValidationError(f"dataset rows must have shape (n, {p + 1}), got {rows.shape}")
         if rows.shape[0] < 1:
             raise ValidationError("dataset must contain at least one row")
-        x = rows[:, : self.spec.p]
-        y = rows[:, self.spec.p]
-        if x.min() < 0 or x.max() >= self.spec.m:
-            raise LabelOutOfRange("feature label outside alphabet")
-        if y.min() < 0 or y.max() > 1:
-            raise LabelOutOfRange("y label outside {0, 1}")
-        rows = rows.copy()
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        _labels(rows[:, :p], self.spec.m, "feature labels")
+        _labels(rows[:, p], 2, "y label")
+        object.__setattr__(self, "rows", _freeze(rows, np.int64))
 
     @property
     def n(self) -> int:
@@ -323,9 +335,7 @@ class ConditionalTable:
         if on.size and (on.min() < -INTERNAL_TOL or on.max() > 1 + INTERNAL_TOL):
             raise ValidationError("conditional expectations must lie in [0, 1]")
         object.__setattr__(self, "values", _freeze(values))
-        sup = support.copy()
-        sup.setflags(write=False)
-        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "support", _freeze(support, bool))
 
 
 @dataclass(frozen=True)
@@ -353,13 +363,11 @@ def joint_from_arrays(spec: AlphabetSpec, labels, y, prob) -> DiscreteJoint:
     labels are rejected, and the entries must form a probability table.
     """
     spec.require_dense()
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     prob = np.asarray(prob, dtype=float)
     if y.ndim != 1 or prob.shape != y.shape or np.shape(labels)[:1] != y.shape:
         raise ValidationError("labels, y and prob must describe the same number of cells")
-    bad_y = (y < 0) | (y > 1)
-    if bad_y.any():
-        raise LabelOutOfRange(f"y label {int(y[np.argmax(bad_y)])} outside {{0, 1}}")
+    y = _labels(y, 2, "y label")
     cell = 2 * spec.encode_rows(labels) + y
     counts = np.bincount(cell, minlength=spec.n_atoms)
     if counts.max() > 1:
@@ -381,15 +389,15 @@ def joint_from_table(spec: AlphabetSpec, rows) -> DiscreteJoint:
     rows = list(rows)
     xs, ys, values = zip(*rows) if rows else ((), (), ())
     try:
-        labels = np.array(xs, dtype=np.int64).reshape(len(rows), spec.p)
+        labels = np.reshape(xs, (len(rows), spec.p))
     except ValueError as exc:
         raise LabelOutOfRange(f"every cell needs {spec.p} feature labels") from exc
     return joint_from_arrays(spec, labels, ys, values)
 
 
 def _state_tensor(spec: AlphabetSpec, flat: np.ndarray) -> np.ndarray:
-    """Reshape an (m^p,) vector to axes (x_1, ..., x_p)."""
-    return flat.reshape((spec.m,) * spec.p, order="F")
+    """Reshape an (m^p, ...) array to axes (x_1, ..., x_p, ...)."""
+    return flat.reshape(spec.shape + flat.shape[1:], order="F")
 
 
 def pairwise_from_joint(joint: DiscreteJoint) -> PairwiseMarginalSet:
@@ -718,24 +726,19 @@ def sample_dataset(joint: DiscreteJoint, n: int, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     flat = joint.prob.reshape(-1)
     draws = rng.choice(flat.size, size=n, p=flat / flat.sum())
-    states = draws // 2
-    ys = draws % 2
-    spec = joint.spec
-    cols = [(states // spec.m**i) % spec.m for i in range(spec.p)]
-    rows = np.stack(cols + [ys], axis=1)
-    return Dataset(spec, rows)
+    states, ys = np.divmod(draws, 2)
+    cols = np.unravel_index(states, joint.spec.shape, order="F")
+    return Dataset(joint.spec, np.stack(cols + (ys,), axis=1))
 
 
 def permute_labels(joint: DiscreteJoint, feature: int, perm) -> DiscreteJoint:
     """Relabel feature ``feature`` by ``perm`` (new_label = perm[old_label])."""
     spec = joint.spec
+    if not (isinstance(feature, (int, np.integer)) and 0 <= feature < spec.p):
+        raise ValidationError(f"feature must be an integer in 0..{spec.p - 1}, got {feature!r}")
     perm = np.asarray(perm, dtype=int)
     if sorted(perm.tolist()) != list(range(spec.m)):
         raise ValidationError(f"perm must be a permutation of 0..{spec.m - 1}")
-    states = spec.states()
-    new_states = states.copy()
-    new_states[:, feature] = perm[states[:, feature]]
-    new_idx = spec.encode_rows(new_states)
-    prob = np.zeros_like(joint.prob)
-    prob[new_idx] = joint.prob
-    return DiscreteJoint(spec, prob, tol=INTERNAL_TOL)
+    # Label j of the result is label argsort(perm)[j] of the input.
+    tensor = np.take(_state_tensor(spec, joint.prob), np.argsort(perm), axis=feature)
+    return DiscreteJoint(spec, tensor.reshape(joint.prob.shape, order="F"), tol=INTERNAL_TOL)

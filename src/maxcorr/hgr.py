@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import INPUT_TOL, DiscreteJoint, conditional_expectation
-from .errors import DegenerateY, DimensionMismatch, NotNormalized, ValidationError, ZeroVariance
+from .distributions import INPUT_TOL, DiscreteJoint, conditional_expectation, probability_table
+from .errors import DegenerateY, DimensionMismatch, ValidationError, ZeroVariance
 
 logger = logging.getLogger(__name__)
 
@@ -39,16 +39,8 @@ class GenericJoint:
         prob = np.asarray(self.prob, dtype=float)
         if prob.ndim != 2:
             raise ValidationError(f"joint table must be 2-D, got shape {prob.shape}")
-        if not np.all(np.isfinite(prob)):
-            raise ValidationError("joint table contains non-finite entries")
-        if np.any(prob < 0):
-            raise ValidationError(f"negative probability {float(prob.min())}")
-        total = float(prob.sum())
-        if abs(total - 1.0) > self.tol:
-            raise NotNormalized(f"probabilities sum to {total}, not 1 within {self.tol}")
-        prob = prob.copy()
-        prob.setflags(write=False)
-        object.__setattr__(self, "prob", prob)
+        # A negative entry raises plain ValidationError, as the generic reader does.
+        object.__setattr__(self, "prob", probability_table(prob, self.tol, ValidationError))
 
     @property
     def nx(self) -> int:

@@ -383,6 +383,8 @@ def _render(obj, out: list):
             out.append(":")
             _render(obj[key], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 0:
+        _render(obj[()], out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if isinstance(items, (list, tuple)) and set(map(type, items)) <= _FLAT:

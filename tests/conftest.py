@@ -97,15 +97,16 @@ def quadratic_grid_oracle(system, z_base, direction, half_range=5.0, points=1000
     return best
 
 
-def boxed_tightness_lp(system, box=1e3):
+def pinned_tightness_lp(system):
     """min over {z : 2Qz = d} of max(h(z), h(-z)), built independently of
     :func:`maxcorr.check_tightness`.
 
     z0 comes from dense least squares and the null space from a symmetric
-    eigendecomposition, kept whole (block shifts included).  The free
-    coefficients are boxed to [-box, box], so the flat block-shift rays
-    cannot make the LP unbounded, and the value is the objective evaluated
-    exactly at the LP's point.
+    eigendecomposition, kept whole (block shifts included).  Equality rows
+    pin the sums of blocks 2..p of the null-space step to 0: that removes
+    the flat block-shift rays, which leave h(z) and h(-z) unchanged, and
+    changes no optimum.  The free coefficients are unbounded, and the value
+    is the objective evaluated exactly at the LP's point.
     """
     spec = system.spec
     p, m, pm = spec.p, spec.m, spec.pm
@@ -125,13 +126,16 @@ def boxed_tightness_lp(system, box=1e3):
         ]
     )
     b_ub = np.concatenate([-z0, z0, [0.0, 0.0]])
+    a_eq = np.hstack([(block.T @ basis)[1:], np.zeros((p - 1, 2 * p + 1))])
     c = np.zeros(k + 2 * p + 1)
     c[-1] = 1.0
     res = linprog(
         c,
         A_ub=a_ub,
         b_ub=b_ub,
-        bounds=[(-box, box)] * k + [(None, None)] * (2 * p + 1),
+        A_eq=a_eq if p > 1 else None,
+        b_eq=np.zeros(p - 1) if p > 1 else None,
+        bounds=(None, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
@@ -388,3 +392,37 @@ def legacy_dumps_canonical(obj):
     out = []
     _legacy_render(obj, out)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# the state order decoded by hand: the mixed-radix loops and the encode
+# round trip that ``AlphabetSpec.shape`` replaced, kept as their oracles
+# ---------------------------------------------------------------------------
+
+
+def _legacy_decode(idx, spec):
+    return [(idx // spec.m**i) % spec.m for i in range(spec.p)]
+
+
+def legacy_states(spec):
+    """All state label tuples, one mixed-radix digit per column."""
+    return np.stack(_legacy_decode(np.arange(spec.n_states), spec), axis=1)
+
+
+def legacy_sample_rows(joint, n, seed):
+    """The rows of ``sample_dataset``: the same draws, decoded digit by digit."""
+    rng = np.random.default_rng(seed)
+    flat = joint.prob.reshape(-1)
+    draws = rng.choice(flat.size, size=n, p=flat / flat.sum())
+    return np.stack(_legacy_decode(draws // 2, joint.spec) + [draws % 2], axis=1)
+
+
+def legacy_permute_prob(joint, feature, perm):
+    """The table of ``permute_labels``: relabel the state tuples, encode
+    them again and scatter each row of the table to its new state."""
+    spec = joint.spec
+    states = legacy_states(spec)
+    states[:, feature] = np.asarray(perm)[states[:, feature]]
+    prob = np.zeros_like(joint.prob)
+    prob[states @ spec.m ** np.arange(spec.p)] = joint.prob
+    return prob

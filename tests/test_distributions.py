@@ -30,7 +30,13 @@ from maxcorr.errors import (
 )
 from maxcorr.numerics import eigh, solve_lp
 
-from conftest import legacy_one_hot, legacy_validate_marginals
+from conftest import (
+    legacy_one_hot,
+    legacy_permute_prob,
+    legacy_sample_rows,
+    legacy_states,
+    legacy_validate_marginals,
+)
 
 
 class TestAlphabetSpec:
@@ -105,6 +111,128 @@ class TestJointFromTable:
             mx.joint_from_table(spec, [((2,), 0, 1.0)])
         with pytest.raises(LabelOutOfRange):
             mx.joint_from_table(spec, [((0,), 3, 1.0)])
+
+
+class TestStateOrder:
+    """``states()``, ``sample_dataset`` and ``permute_labels`` read the state
+    order off ``AlphabetSpec.shape``; the hand-decoded routes are their
+    oracles, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), m=st.integers(2, 5))
+    def test_states_match_the_mixed_radix_loop(self, p, m):
+        spec = mx.AlphabetSpec(p, m)
+        got, want = spec.states(), legacy_states(spec)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        m=st.integers(2, 5),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_samples_match_the_mixed_radix_decode(self, p, m, n, seed):
+        joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=seed, alpha=0.3)
+        got, want = mx.sample_dataset(joint, n, seed).rows, legacy_sample_rows(joint, n, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permute_labels_matches_the_encode_round_trip(self, p, m, seed, data):
+        joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=seed)
+        feature = data.draw(st.integers(0, p - 1))
+        perm = data.draw(st.permutations(range(m)))
+        got = mx.permute_labels(joint, feature, perm).prob
+        assert got.tobytes() == legacy_permute_prob(joint, feature, perm).tobytes()
+
+    @pytest.mark.parametrize("feature", [-1, -3, 3, 7, 1.0, None])
+    def test_permute_labels_refuses_a_feature_outside_0_to_p_minus_1(self, feature):
+        """On the state tensor axis -1 is Y, so a negative index no longer
+        wraps to the last feature."""
+        joint = mx.random_joint(mx.AlphabetSpec(3, 2), seed=0)
+        with pytest.raises(ValidationError, match="feature must be an integer in 0..2"):
+            mx.permute_labels(joint, feature, [1, 0])
+
+    def test_permute_labels_takes_a_numpy_feature_index(self):
+        joint = mx.random_joint(mx.AlphabetSpec(3, 2), seed=0)
+        got = mx.permute_labels(joint, np.int64(2), [1, 0]).prob
+        assert got.tobytes() == legacy_permute_prob(joint, 2, [1, 0]).tobytes()
+
+
+class TestLabelContract:
+    """One label check serves every entry point: a value that is not an
+    integer in range raises LabelOutOfRange, a fraction included, and an
+    integral float such as 1.0 passes."""
+
+    spec = mx.AlphabetSpec(1, 2)
+
+    def test_dataset(self):
+        with pytest.raises(LabelOutOfRange, match=r"^feature labels \(0\.7,\) at row 0 not in 0\.\.1$"):
+            mx.Dataset(self.spec, [[0.7, 1.0]])
+        with pytest.raises(LabelOutOfRange, match=r"^y label 0\.5 at row 1 not in 0\.\.1$"):
+            mx.Dataset(self.spec, [[0, 1], [1, 0.5]])
+        with pytest.raises(LabelOutOfRange, match=r"^feature labels \(0, 4\) at row 2 not in 0\.\.2$"):
+            mx.Dataset(mx.AlphabetSpec(2, 3), [[0, 0, 0], [1, 2, 1], [0, 4, 1]])
+        with pytest.raises(LabelOutOfRange, match="y label nan at row 0"):
+            mx.Dataset(self.spec, [[1, np.nan]])
+        rows = mx.Dataset(self.spec, [[1.0, 0.0], [0.0, 1.0]]).rows
+        assert rows.dtype == np.int64 and rows.tolist() == [[1, 0], [0, 1]]
+
+    def test_joint_from_arrays(self):
+        with pytest.raises(LabelOutOfRange, match=r"^labels \(0\.6,\) at row 0"):
+            mx.joint_from_arrays(self.spec, [[0.6], [1]], [0, 1], [0.5, 0.5])
+        with pytest.raises(LabelOutOfRange, match=r"^y label 1\.7 at row 1"):
+            mx.joint_from_arrays(self.spec, [[0], [1]], [0, 1.7], [0.5, 0.5])
+        whole = mx.joint_from_arrays(self.spec, [[0.0], [1.0]], [0.0, 1.0], [0.5, 0.5])
+        ints = mx.joint_from_arrays(self.spec, [[0], [1]], [0, 1], [0.5, 0.5])
+        assert whole.prob.tobytes() == ints.prob.tobytes()
+
+    def test_joint_from_table(self):
+        with pytest.raises(LabelOutOfRange, match=r"^labels \(0\.6,\) at row 0"):
+            mx.joint_from_table(self.spec, [((0.6,), 0, 0.5), ((1,), 1, 0.5)])
+        with pytest.raises(LabelOutOfRange, match=r"^y label 1\.7 at row 0"):
+            mx.joint_from_table(self.spec, [((0,), 1.7, 0.5), ((1,), 0, 0.5)])
+        with pytest.raises(LabelOutOfRange, match="every cell needs 1 feature labels"):
+            mx.joint_from_table(self.spec, [((0, 1), 0, 1.0)])
+        whole = mx.joint_from_table(self.spec, [((0.0,), 1.0, 0.5), ((1.0,), 0.0, 0.5)])
+        assert whole.prob.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+
+    def test_encode(self):
+        spec = mx.AlphabetSpec(2, 3)
+        with pytest.raises(LabelOutOfRange, match=r"^labels \(0\.5, 1\.0\) at row 0"):
+            spec.encode((0.5, 1))
+        with pytest.raises(LabelOutOfRange, match="expected 2 labels per row"):
+            spec.encode((0, 1, 2))
+        assert spec.encode((1.0, 2.0)) == spec.encode((1, 2)) == 7
+        with pytest.raises(ValidationError, match="overflows the state index"):
+            mx.AlphabetSpec(200, 5).encode((0,) * 200)
+
+    def test_integer_labels_pass_without_a_copy(self):
+        labels = np.zeros((4, 2), dtype=np.int64)
+        assert distributions._labels(labels, 3) is labels
+
+
+@pytest.mark.parametrize(
+    "build,negative",
+    [
+        (lambda t: mx.DiscreteJoint(mx.AlphabetSpec(1, 2), t), NegativeProbability),
+        (mx.GenericJoint, ValidationError),
+    ],
+    ids=["discrete", "generic"],
+)
+def test_both_joints_share_one_probability_table_check(build, negative):
+    table = np.full((2, 2), 0.25)
+    prob = build(table).prob
+    assert prob is not table and not prob.flags.writeable and prob.tolist() == table.tolist()
+    with pytest.raises(ValidationError, match="non-finite"):
+        build(np.array([[np.nan, 0.25], [0.25, 0.25]]))
+    with pytest.raises(ValidationError) as exc:
+        build(np.array([[-0.5, 1.0], [0.25, 0.25]]))
+    assert type(exc.value) is negative
+    with pytest.raises(NotNormalized):
+        build(2 * table)
 
 
 class TestPairwiseFromJoint:

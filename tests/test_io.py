@@ -333,6 +333,22 @@ class TestCanonicalJson:
         with pytest.raises(ValidationError):
             dumps_canonical([float("inf")])
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [(np.array(0.5), "0.5"), (np.array(np.nan), "null"), (np.array(3), "3"), (np.float32(0.25), "0.25")],
+    )
+    def test_zero_d_arrays_render_as_their_scalar(self, value, text):
+        a = np.asarray(value)
+        assert a.ndim == 0
+        assert dumps_canonical(a) == dumps_canonical(a[()]) == text
+        assert dumps_canonical({"k": [a, a]}) == f'{{"k":[{text},{text}]}}'
+
+    def test_zero_d_bool_and_infinity_raise(self):
+        with pytest.raises(ValidationError, match="cannot serialize bool"):
+            dumps_canonical(np.array(True))
+        with pytest.raises(ValidationError, match="cannot serialize infinity"):
+            dumps_canonical(np.array(np.inf))
+
     @pytest.mark.parametrize("inf", [float("inf"), float("-inf")])
     @pytest.mark.parametrize(
         "wrap",

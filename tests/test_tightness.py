@@ -22,7 +22,7 @@ from maxcorr.numerics import numerical_rank
 import maxcorr.lowerbound
 import maxcorr.numerics
 import maxcorr.tightness
-from conftest import boxed_tightness_lp, forced_lp_certificate, quadratic_grid_oracle
+from conftest import forced_lp_certificate, pinned_tightness_lp, quadratic_grid_oracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -334,8 +334,8 @@ class TestBlockShiftRays:
         # failed with status 4 while the block shifts stayed in the basis.
         system = mx.assemble_qd(read_marginals_json(DATA / "copy_feature_p6_m3.json"))
         cert = mx.check_tightness(system)
-        oracle = boxed_tightness_lp(system)
-        assert cert.lp_value == pytest.approx(oracle, abs=1e-8)
+        oracle = pinned_tightness_lp(system)
+        assert cert.lp_value == pytest.approx(oracle, abs=1e-9)
         assert cert.lp_value == pytest.approx(0.2631370964, abs=1e-9)
         assert cert.verdict == "Tight"
         assert max(cert.h_pos, cert.h_neg) <= 0.5 + cert.tol
@@ -356,7 +356,7 @@ class TestBlockShiftRays:
         system = system_of(degenerate_joint(4, 2, "sparse", seed, additive=False))
         cert = mx.check_tightness(system)
         assert cert.verdict == "Tight"
-        assert cert.lp_value == pytest.approx(boxed_tightness_lp(system), abs=1e-8)
+        assert cert.lp_value == pytest.approx(pinned_tightness_lp(system), abs=1e-9)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -366,12 +366,12 @@ class TestBlockShiftRays:
         seed=st.integers(0, 2**32 - 1),
         additive=st.booleans(),
     )
-    def test_matches_boxed_lp(self, p, m, kind, seed, additive):
+    def test_matches_pinned_lp(self, p, m, kind, seed, additive):
         system = system_of(degenerate_joint(p, m, kind, seed, additive))
         cert = mx.check_tightness(system)
-        oracle = boxed_tightness_lp(system)
+        oracle = pinned_tightness_lp(system)
         assert cert.verdict == ("Tight" if oracle <= 0.5 + cert.tol else "NotTight")
-        assert cert.lp_value == pytest.approx(oracle, abs=1e-8)
+        assert cert.lp_value == pytest.approx(oracle, abs=1e-9)
 
 
 def full_support_joint(p, m, seed, additive):
@@ -483,12 +483,11 @@ class TestZeroLabelClosedForm:
         assert system.factor.null_basis().shape[1] == p - 1 + sum(counts)
         cert = mx.check_tightness(system)
         lp = forced_lp_certificate(system)
-        boxed = boxed_tightness_lp(system)
+        pinned = pinned_tightness_lp(system)
         assert cert.verdict == lp.verdict
-        assert cert.verdict == ("Tight" if boxed <= 0.5 + cert.tol else "NotTight")
+        assert cert.verdict == ("Tight" if pinned <= 0.5 + cert.tol else "NotTight")
         assert abs(cert.lp_value - lp.lp_value) <= 1e-14
-        # the boxed oracle evaluates h at HiGHS's point, off by up to ~3e-7
-        assert cert.lp_value == pytest.approx(boxed, abs=1e-6)
+        assert cert.lp_value == pytest.approx(pinned, abs=1e-9)
 
         z, z0 = cert.z_star, system.z0
         assert (cert.h_pos, cert.h_neg) == (mx.h_value(z, system.spec), mx.h_value(-z, system.spec))
@@ -534,7 +533,7 @@ class TestZeroLabelClosedForm:
         assert system.factor.null_basis().shape[1] == 3
         cert = mx.check_tightness(system)
         assert len(lp_calls) == 1
-        assert cert.lp_value == pytest.approx(boxed_tightness_lp(system), abs=1e-8)
+        assert cert.lp_value == pytest.approx(pinned_tightness_lp(system), abs=1e-9)
 
     def test_zero_probability_with_a_nonzero_q_entry_takes_the_lp(self, lp_calls):
         """px exactly 0 but a nonzero entry in the label's row of Q (a set
