@@ -133,8 +133,8 @@ def pinned_tightness_lp(system):
         c,
         A_ub=a_ub,
         b_ub=b_ub,
-        A_eq=a_eq if p > 1 else None,
-        b_eq=np.zeros(p - 1) if p > 1 else None,
+        A_eq=a_eq,
+        b_eq=np.zeros(p - 1),
         bounds=(None, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
