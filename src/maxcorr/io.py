@@ -21,12 +21,11 @@ decimal or exponent floats (``0.25``, ``.25``, ``2.5e-1``, ``nan``,
 must have as many fields as the header.
 
 How a dataset body is parsed does not change what it may contain.  A body
-in which every field has the same number of digits (at most 18), fields are
-separated by ``,`` and every row ends in the same ``\\n`` or ``\\r\\n`` (the
-last one optional) is read as one byte view of the file; this is what
-``write_dataset_csv`` writes whenever every label has one digit.  Every
-other body, and every parse error, goes through ``np.loadtxt``, as joint
-and generic CSVs always do.
+of single-digit fields, separated by ``,``, in which every row ends in the
+same ``\\n`` or ``\\r\\n`` (the last one optional) is read as one byte view
+of the file; this is what ``write_dataset_csv`` writes whenever every label
+has one digit.  Every other body, and every parse error, goes through
+``np.loadtxt``, as joint and generic CSVs always do.
 
 Alphabet sizes are inferred from the data (max label + 1, at least 2).
 ``dumps_canonical`` renders JSON deterministically with
@@ -115,38 +114,28 @@ def _read_csv(path, header_ok, expected: str):
         return _loadtxt_body(fh, path, _read_header(fh, path, header_ok, expected))
 
 
-#: Most digits in a fixed-width field: 10**18 - 1 < 2**63 - 1.
-_MAX_DIGITS = 18
-
-
 def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
-    """The (rows, ncols) int64 labels of a dataset body that is a rectangle
-    of bytes, or None for any other body.
+    """The (rows, ncols) int64 labels of a dataset body of single-digit
+    fields, or None for any other body.
 
-    Accepted: every field has the same number ``w`` of decimal digits
-    (``1 <= w <= _MAX_DIGITS``), fields are separated by ``,`` and every row
-    ends in the same ``\\n`` or ``\\r\\n``; the last row may lack it.  The
-    body is viewed in place as (rows, ncols, w + 1) bytes, every digit,
-    separator and terminator byte is checked, and the ``w`` digit columns
-    are summed by Horner's rule.  Anything else, blank lines, spaces,
-    quotes, signs and mixed widths included, is left to the text route.
+    Accepted: every field is one decimal digit, fields are separated by
+    ``,`` and every row ends in the same ``\\n`` or ``\\r\\n``; the last row
+    may lack it.  The body is viewed in place as (rows, 2 ncols) bytes and
+    every digit, separator and terminator byte is checked.  Anything else,
+    blank lines, spaces, quotes, signs and wider fields included, is left to
+    the text route.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
-    head = buf[: _MAX_DIGITS + 1].tobytes()
-    w = len(head) - len(head.lstrip(b"0123456789"))
-    if not 1 <= w <= _MAX_DIGITS:
-        return None
-    field = w + 1
-    last = ncols * field - 1  # offset of the first row's terminator
+    last = 2 * ncols - 1  # offset of the first row's terminator
     crlf = last < buf.size and buf[last] == ord("\r")
-    line = ncols * field + crlf
+    line = last + 1 + crlf
     rows, rest = divmod(buf.size, line)
-    if rest not in (0, last):  # a partial row is the last one, unterminated
+    if not buf.size or rest not in (0, last):  # a partial row is the last one, unterminated
         return None
     total = rows + (rest > 0)
     strided = np.lib.stride_tricks.as_strided
-    digits = strided(buf, (total, ncols, w), (line, field, 1), writeable=False)
-    commas = strided(buf[w:], (total, ncols - 1), (line, field), writeable=False)
+    digits = strided(buf, (total, ncols), (line, 2), writeable=False)
+    commas = strided(buf[1:], (total, ncols - 1), (line, 2), writeable=False)
     ends = strided(buf[last:], (rows, 1 + crlf), (line, 1), writeable=False)
     if not (
         _all_in(digits, ord("0"), ord("9"))
@@ -155,12 +144,8 @@ def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
         and _all_in(ends[:, -1], ord("\n"), ord("\n"))
     ):
         return None
-    out = np.empty((total, ncols), dtype=np.int64)
-    np.copyto(out, digits[:, :, 0])
-    for k in range(1, w):
-        out *= 10
-        out += digits[:, :, k]
-    out -= ord("0") * ((10**w - 1) // 9)
+    out = digits.astype(np.int64)
+    out -= ord("0")
     return out
 
 

@@ -119,6 +119,20 @@ class TestDatasetCsv:
         assert byte_view <= loadtxt
 
 
+    def test_zero_padded_labels_read_as_the_written_rows(self, tmp_path):
+        """Labels and y written as two digits take the text route to the
+        rows that ``write_dataset_csv`` writes as one digit each."""
+        data = mx.sample_dataset(mx.nonadditive_fixture(), n=37, seed=0)
+        written, padded = tmp_path / "written.csv", tmp_path / "padded.csv"
+        write_dataset_csv(data, written)
+        lines = written.read_text().splitlines()
+        body = [",".join(f.zfill(2) for f in line.split(",")) for line in lines[1:]]
+        padded.write_text("\n".join([lines[0], *body]) + "\n")
+        ncols = data.spec.p + 1
+        assert mio._parse_fixed_width(padded.read_bytes().split(b"\n", 1)[1], ncols) is None
+        assert np.array_equal(read_dataset_csv(padded).rows, read_dataset_csv(written).rows)
+
+
 class TestGenericCsv:
     def test_reads_cells(self, tmp_path):
         path = tmp_path / "generic.csv"
@@ -548,9 +562,9 @@ NEAR_MISSES = [
 
 @st.composite
 def dataset_files(draw):
-    """(text of a dataset CSV, its header fields, its body, near miss or
-    None).  With no near miss every field has the same width and every row
-    the same line end, the last one optional."""
+    """(text of a dataset CSV, its header fields, its body, field width,
+    near miss or None).  With no near miss every field has the same width
+    and every row the same line end, the last one optional."""
     ncols, n, width = draw(st.integers(2, 5)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
     values = st.integers(0, 10**width - 1)
     rows = [[str(draw(values)).zfill(width) for _ in range(ncols)] for _ in range(n)]
@@ -593,15 +607,17 @@ def dataset_files(draw):
     if miss == "other line end":  # one byte of the last row's line end
         at = len(body) - len(end) + draw(st.integers(0, len(end) - 1))
         body = body[:at] + draw(st.sampled_from(";7 ")) + body[at + 1 :]
-    return ",".join(header) + end + body, header, body, miss
+    return ",".join(header) + end + body, header, body, width, miss
 
 
 @parity(400)
 @given(dataset_files())
 def test_byte_view_matches_the_loadtxt_route(tmp_path, case):
-    text, header, body, miss = case
+    """The byte view takes exactly the single-digit bodies with no near
+    miss; every drawn file reads as on the ``np.loadtxt`` route."""
+    text, header, body, width, miss = case
     parsed = mio._parse_fixed_width(body.encode(), len(header))
-    assert (parsed is None) == (miss is not None)
+    assert (parsed is not None) == (width == 1 and miss is None)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode())
     assert_same_outcome(path)
@@ -619,10 +635,10 @@ def test_byte_view_reads_nothing_past_the_body():
 
 @pytest.mark.parametrize("field", ["0" * 18, "9" * 18, str(2**63 - 1), str(2**63), "9" * 19])
 def test_long_fields_match_the_loadtxt_route(tmp_path, field):
-    """Up to 18 digits the byte view reads the field; from 19 on np.loadtxt
+    """The byte view refuses every field wider than one digit; np.loadtxt
     reads it or reports the overflow."""
     body = f"{field},{field}\n" * 2
-    assert (mio._parse_fixed_width(body.encode(), 2) is None) == (len(field) > 18)
+    assert mio._parse_fixed_width(body.encode(), 2) is None
     path = tmp_path / "data.csv"
     path.write_text("x1,y\n" + body)
     assert_same_outcome(path)
