@@ -50,6 +50,7 @@ from .io import (
 )
 from .lowerbound import assemble_qd, gamma_lb_closed, gamma_lb_iterative, rho_lb
 from .tightness import check_tightness, construct_additive, is_additive, near_uniform_probe
+from .tightness import tolerance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -229,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="tolerance echoed into reports (default 1e-9)"
+        "--tol",
+        type=tolerance,
+        default=1e-9,
+        help="the certificate's slack in check-tight, construct and probe-uniform (default 1e-9)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -76,6 +76,13 @@ from .numerics import solve_lp
 TIGHT_TOL = 1e-9
 
 
+def tolerance(tol) -> float:
+    """``tol`` as a float, refused unless it is a finite number >= 0."""
+    if not 0.0 <= (tol := float(tol)) < np.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True, eq=False)
 class TightnessCertificate:
     """Outcome of the achievability test.
@@ -262,8 +269,9 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
     max(h(z), h(-z)) at z0 merged along those features, with the free
     coordinates clipped into their blocks' ranges.  Otherwise it is the LP
     of :func:`_minimize_h` over N, the null space of Q minus the block
-    shifts.
+    shifts.  ``tol`` must be a finite number >= 0.
     """
+    tol = tolerance(tol)
     if system.p_y1 <= 0.0 or system.p_y1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec

@@ -130,6 +130,9 @@ CASES = {
     "error_marginals_fractional_p": ["lower-bound", "--marginals", "fractional_p.json"],
     "error_moments_2d_mu": ["gaussian", "--moments", "moments_2d_mu.json"],
     "error_unknown_flag": ["oracle", "--nope"],
+    # a slack that is not a finite number >= 0 is refused before any input is read
+    "error_check_tight_tol_nan": ["check-tight", "--joint", "additive_2x2.csv", "--tol", "nan"],
+    "error_construct_tol_inf": ["construct", "--joint", "nonadditive.csv", "--out", OUT, "--tol", "inf"],
 }
 
 

@@ -273,6 +273,33 @@ class TestErrorContract:
         assert code == 2 and report is None
         assert captured.err.startswith(f"input error: {path}: ")
 
+    @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-inf", "--tol=-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--joint", "nonadditive.csv"],
+            ["lower-bound", "--joint", "nonadditive.csv"],
+            ["check-tight", "--joint", "nonadditive.csv"],
+            ["construct", "--joint", "additive.csv", "--out", "out"],
+            ["gaussian", "--moments", "moments.json"],
+            ["probe-uniform", "--p", "2", "--m", "2", "--eps", "0.01"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_a_usage_error(
+        self, capsys, files, monkeypatch, argv, tol
+    ):
+        """Refused while the arguments are parsed: no input is read and
+        nothing is written."""
+        monkeypatch.setattr(maxcorr.cli, "_digest_file", pytest.fail)
+        with pytest.raises(SystemExit) as info:
+            main([files.get(a, a) for a in argv] + [tol])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: invalid tolerance value: '{tol[6:]}'" in captured.err
+        assert not os.path.exists(files["out"])
+
     def test_unknown_flag_is_usage_error(self, capsys, files):
         with pytest.raises(SystemExit) as info:
             main(["oracle", "--nope"])

@@ -14,6 +14,7 @@ from maxcorr.errors import (
     InvalidEpsilon,
     MarginalMismatch,
     NotStationary,
+    ValidationError,
 )
 
 from maxcorr.io import read_marginals_json
@@ -92,6 +93,13 @@ class TestCheckTightness:
         joint = mx.joint_from_table(spec, [((0,), 1, 0.5), ((1,), 1, 0.5)])
         with pytest.raises(DegenerateY):
             mx.check_tightness(system_of(joint))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_refused(self, tol):
+        system = system_of(mx.additive_fixture(mx.AlphabetSpec(2, 2), seed=0))
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            mx.check_tightness(system, tol=tol)
+        assert mx.check_tightness(system, tol=0.0).tol == 0.0
 
     def test_single_feature_always_tight(self):
         # with one feature every conditional mean is trivially separable
