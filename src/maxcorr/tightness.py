@@ -46,6 +46,7 @@ from the same factor of Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -348,7 +349,8 @@ def construct_additive(
             "would produce negative probabilities"
         )
 
-    shift = spec.indicator_matrix() @ z_star
+    # z'w_x for every state: block i broadcast along x_i, summed in feature order.
+    shift = reduce(np.add.outer, z_star.reshape(spec.p, spec.m)).reshape(-1, order="F")
     p1x = np.clip(0.5 + shift, 0.0, 1.0)
     qx = base.px
     prob = np.stack([(1.0 - p1x) * qx, p1x * qx], axis=1)

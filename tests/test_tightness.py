@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,30 @@ class TestConstructAdditive:
         reconstructed = decomposition.f.reshape(-1) - 1.0 / (2 * joint.spec.p)
         fitted_shift = joint.spec.indicator_matrix() @ reconstructed
         assert np.abs(fitted_shift - shift).max() <= 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), m=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_gather_matches_the_indicator_matrix(self, p, m, seed):
+        """P*(x, y) = (1/2 +- z'w_x) Q(x) with z'w_x within 1e-15 of
+        ``indicator_matrix() @ z``."""
+        joint = mx.additive_fixture(mx.AlphabetSpec(p, m), seed=seed)
+        z = mx.check_tightness(system_of(joint)).z_star
+        p1x = np.clip(0.5 + joint.spec.indicator_matrix() @ z, 0.0, 1.0)
+        qx = joint.px[:, None]
+        want = np.stack([1.0 - p1x, p1x], axis=1) * qx
+        assert np.all(np.abs(mx.construct_additive(z, joint).prob - want) <= 1e-15 * qx)
+
+    def test_builds_no_indicator_matrix(self):
+        """At p=16, m=2 the 2^16 x 32 indicator matrix alone would take 16 MiB."""
+        joint = mx.additive_fixture(mx.AlphabetSpec(16, 2), seed=0)
+        z = mx.check_tightness(system_of(joint)).z_star
+        tracemalloc.start()
+        try:
+            mx.construct_additive(z, joint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_base_from_feasibility_lp_when_only_marginals_given(self):
         joint = mx.additive_fixture(mx.AlphabetSpec(2, 2), seed=77)
