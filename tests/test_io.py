@@ -118,7 +118,6 @@ class TestDatasetCsv:
         loadtxt, _ = peak(read_dataset_csv)
         assert byte_view <= loadtxt
 
-
     def test_zero_padded_labels_read_as_the_written_rows(self, tmp_path):
         """Labels and y written as two digits take the text route to the
         rows that ``write_dataset_csv`` writes as one digit each."""
