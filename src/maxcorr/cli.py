@@ -33,15 +33,15 @@ from . import __version__
 from .distributions import (
     AlphabetSpec,
     marginal_deviation,
-    pairwise_from_dataset,
     pairwise_from_joint,
 )
 from .errors import MaxcorrError, ValidationError
 from .gaussian import min_hgr_gaussian, regression_vector
 from .hgr import GenericJoint, flatten_joint, hgr_binary, hgr_svd
 from .io import (
+    _digest_file,
     dumps_canonical,
-    read_dataset_csv,
+    read_dataset_marginals,
     read_generic_csv,
     read_joint_csv,
     read_marginals_json,
@@ -56,11 +56,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_TIGHT = 4
-
-
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 def _digest_text(text: str) -> str:
@@ -91,7 +86,7 @@ def _load_marginals(args):
     if args.joint is not None:
         return pairwise_from_joint(read_joint_csv(args.joint)), _digest_file(args.joint)
     if args.data is not None:
-        return pairwise_from_dataset(read_dataset_csv(args.data)), _digest_file(args.data)
+        return read_dataset_marginals(args.data)
     return read_marginals_json(args.marginals), _digest_file(args.marginals)
 
 

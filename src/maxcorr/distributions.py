@@ -48,9 +48,9 @@ INTERNAL_TOL = 1e-12
 ATOM_CAP = 2**22
 #: Entries of the (pm, pm) matrix Q of a marginal set: 512 MB of float64.
 Q_CAP = 2**26
-#: One-hot entries per row chunk of the count Gram (a 4 MB float32 block);
+#: One-hot entries per row chunk of the count Gram (a 1 MB float32 block);
 #: below 2^24, so every chunk's float32 counts are exact.
-GRAM_CHUNK = 2**20
+GRAM_CHUNK = 2**18
 #: Largest m for which a dataset's tables come from the count Gram, not the
 #: pair loop: per row the Gram does (pm)^2 multiply-adds, the loop p^2 / 2
 #: bincount steps.  Best-of-5 ms, Gram / loop, n = 50,000, one BLAS thread:
@@ -431,64 +431,81 @@ def empirical_joint(data: Dataset) -> DiscreteJoint:
 
 def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
     """Empirical pairwise marginals of a dataset, counted from its rows at
-    every size, without the ``m^p`` joint table.
-
-    For ``m <= GRAM_MAX_M``, ``Q`` is the count Gram ``W'W`` of the (n, pm)
-    one-hot matrix ``W`` over ``n``: pair counts in its off-diagonal blocks,
-    label counts on its diagonal; ``W'y`` counts the labels with ``Y = 1``.
-    The counts are exact (see :func:`_pairwise_counts`), so each entry is an
-    integer count divided by ``n`` once.  Rows are taken in chunks of about
-    ``GRAM_CHUNK`` one-hot entries, so the extra memory is the Gram, its copy
-    ``Q`` and a few MB whatever ``n``.  For larger ``m`` the tables are
-    counted one ``np.bincount`` per feature and per pair.
-    """
+    every size, without the ``m^p`` joint table: the rows go to one
+    :class:`PairwiseCounts` in chunks of ``GRAM_CHUNK`` labels."""
     spec = data.spec
-    spec.require_q()
-    if spec.m > GRAM_MAX_M:
-        return _pairwise_by_pair(data)
-
-    p, m, n = spec.p, spec.m, data.n
-    gram, wy = _pairwise_counts(data.rows[:, :p], data.rows[:, p], m)
-    xy = np.stack([np.diag(gram) - wy, wy], axis=1).reshape(p, m, 2) / n
-    return PairwiseMarginalSet.from_q(spec, np.divide(gram, n, out=gram), xy)
+    counts = PairwiseCounts(spec)
+    rows = max(1, GRAM_CHUNK // (spec.p + 1))
+    for lo in range(0, data.n, rows):
+        chunk = data.rows[lo : lo + rows]
+        counts.add(chunk[:, : spec.p], chunk[:, spec.p])
+    return counts.marginals()
 
 
-def _pairwise_counts(x: np.ndarray, y: np.ndarray, m: int) -> tuple:
-    """``(W'W, W'y)`` for (n, p) labels ``x`` in 0..m-1 and n binary ``y``,
-    where row r of ``W`` is the one-hot vector of ``x[r]``.
+class PairwiseCounts:
+    """Running exact counts of a dataset's pairwise tables over the rows
+    added so far: the count Gram ``W'W`` of the one-hot rows ``W`` (pair
+    counts in its off-diagonal blocks, label counts on its diagonal) and
+    ``W'y``, the counts of each label with ``Y = 1``.
 
-    ``W`` is built as float32 for ``GRAM_CHUNK // pm`` rows at a time, and
-    the chunk products are summed in float64.  Every sum is exact: each
-    chunk's entries are integer counts no larger than its row count, which
-    stays below 2^24, and the totals are integers no larger than n.
+    For ``m <= GRAM_MAX_M`` a block of rows is counted as the float32 Gram of
+    ``GRAM_CHUNK // pm`` one-hot rows at a time, summed in float64; above it,
+    one ``np.bincount`` per feature and per pair.  Both are exact: a chunk's
+    float32 entries are integers no larger than its row count, below 2^24,
+    and the totals are integers no larger than n.  So how the rows are split
+    into blocks, and which route counts them, moves no bit of
+    :meth:`marginals`, where each entry is divided by n once.  The extra
+    memory is the Gram, its copy ``Q`` and one chunk, whatever n.
     """
-    n, p = x.shape
-    pm = p * m
-    rows = max(1, GRAM_CHUNK // pm)
-    yf = np.asarray(y, dtype=np.float32)
-    gram = np.zeros((pm, pm))
-    wy = np.zeros(pm)
-    for lo in range(0, n, rows):
-        w = one_hot(x[lo : lo + rows], m, np.float32)
-        gram += w.T @ w
-        wy += yf[lo : lo + rows] @ w
-    return gram, wy
 
+    def __init__(self, spec: AlphabetSpec):
+        spec.require_q()
+        self.spec = spec
+        self.n = 0
+        self.gram = np.zeros((spec.pm, spec.pm))
+        self.wy = np.zeros(spec.pm)
 
-def _pairwise_by_pair(data: Dataset) -> PairwiseMarginalSet:
-    """Empirical pairwise marginals, one ``np.bincount`` per feature and per
-    feature pair; the caller checks ``Q_CAP``."""
-    spec = data.spec
-    p, m, n = spec.p, spec.m, data.n
-    x = data.rows[:, :p]
-    y = data.rows[:, p]
-    px, xy = np.zeros((p, m)), np.zeros((p, m, 2))
-    for i in range(p):
-        px[i] = np.bincount(x[:, i], minlength=m) / n
-        xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
-    pairs = combinations(range(p), 2)
-    upper = [np.bincount(x[:, i] * m + x[:, j], minlength=m * m) / n for i, j in pairs]
-    return PairwiseMarginalSet.from_q(spec, q_from_upper(spec, upper, px), xy)
+    def widen(self, m: int):
+        """Re-lay the counts for labels in 0..m-1, when ``m`` is larger than
+        the current alphabet; the cap on ``Q`` is checked first."""
+        p, old = self.spec.p, self.spec.m
+        if m <= old:
+            return
+        spec = AlphabetSpec(p, m)
+        spec.require_q()
+        gram, wy = np.zeros((p, m, p, m)), np.zeros((p, m))
+        gram[:, :old, :, :old] = self.gram.reshape(p, old, p, old)
+        wy[:, :old] = self.wy.reshape(p, old)
+        self.spec, self.gram, self.wy = spec, gram.reshape(spec.pm, spec.pm), wy.reshape(-1)
+
+    def add(self, x: np.ndarray, y: np.ndarray):
+        """Count (rows, p) labels ``x`` in 0..m-1 and their binary ``y``."""
+        p, m, pm = self.spec.p, self.spec.m, self.spec.pm
+        if m <= GRAM_MAX_M:
+            rows = max(1, GRAM_CHUNK // pm)
+            for lo in range(0, len(x), rows):
+                w = one_hot(x[lo : lo + rows], m, np.float32)
+                self.gram += w.T @ w
+                self.wy += y[lo : lo + rows].astype(np.float32) @ w
+        else:
+            x, y = x.astype(np.intp), y.astype(np.intp)
+            blocks, wy = self.gram.reshape(p, m, p, m), self.wy.reshape(p, m)
+            for i in range(p):
+                counts = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2)
+                blocks[i, np.arange(m), i, np.arange(m)] += counts.sum(axis=1)
+                wy[i] += counts[:, 1]
+            for i, j in combinations(range(p), 2):
+                counts = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m)
+                blocks[i, :, j] += counts
+                blocks[j, :, i] += counts.T
+        self.n += len(x)
+
+    def marginals(self) -> PairwiseMarginalSet:
+        """The empirical marginal set of the rows counted; this ends the
+        count, as the Gram is divided by n in place."""
+        p, m, n = self.spec.p, self.spec.m, self.n
+        xy = np.stack([np.diag(self.gram) - self.wy, self.wy], axis=1).reshape(p, m, 2) / n
+        return PairwiseMarginalSet.from_q(self.spec, np.divide(self.gram, n, out=self.gram), xy)
 
 
 def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:

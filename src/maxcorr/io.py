@@ -22,10 +22,14 @@ must have as many fields as the header.
 
 How a dataset body is parsed does not change what it may contain.  A body
 of single-digit fields, separated by ``,``, in which every row ends in the
-same ``\\n`` or ``\\r\\n`` (the last one optional) is read as one byte view
+same ``\\n`` or ``\\r\\n`` (the last one optional) is read as a byte view
 of the file; this is what ``write_dataset_csv`` writes whenever every label
-has one digit.  Every other body, and every parse error, goes through
-``np.loadtxt``, as joint and generic CSVs always do.
+has one digit.  :func:`read_dataset_marginals`, the ``--data`` route,
+streams such a body: it reads it once, in blocks of whole rows, hashing
+each block and counting it into the pairwise tables as it arrives.  Every
+other file, one with a ``y`` outside {0, 1} included, is read whole, and
+every body the byte view refuses goes through ``np.loadtxt``, as joint and
+generic CSVs always do.
 
 Alphabet sizes are inferred from the data (max label + 1, at least 2).
 ``dumps_canonical`` renders JSON deterministically with
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -43,13 +48,16 @@ import warnings
 
 import numpy as np
 
+from . import distributions
 from .distributions import (
     ATOM_CAP,
     AlphabetSpec,
     Dataset,
     DiscreteJoint,
+    PairwiseCounts,
     PairwiseMarginalSet,
     joint_from_arrays,
+    pairwise_from_dataset,
     q_from_upper,
 )
 from .errors import AtomCapExceeded, ValidationError
@@ -115,7 +123,7 @@ def _read_csv(path, header_ok, expected: str):
 
 
 def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
-    """The (rows, ncols) int64 labels of a dataset body of single-digit
+    """The (rows, ncols) uint8 labels of a dataset body of single-digit
     fields, or None for any other body.
 
     Accepted: every field is one decimal digit, fields are separated by
@@ -144,9 +152,7 @@ def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
         and _all_in(ends[:, -1], ord("\n"), ord("\n"))
     ):
         return None
-    out = digits.astype(np.int64)
-    out -= ord("0")
-    return out
+    return digits - ord("0")
 
 
 def _all_in(view: np.ndarray, lo: int, hi: int) -> bool:
@@ -196,15 +202,85 @@ def read_dataset_csv(path) -> Dataset:
     return Dataset(AlphabetSpec(p, m), rows)
 
 
+def read_dataset_marginals(path) -> tuple:
+    """(empirical pairwise marginals, input digest) of a dataset CSV: the
+    bits of ``pairwise_from_dataset(read_dataset_csv(path))`` and of
+    :func:`_digest_file`, with the same errors.
+
+    A body of single-digit fields is streamed: it is read once, in blocks of
+    whole rows of about ``GRAM_CHUNK`` bytes, and each block is hashed,
+    parsed by :func:`_parse_fixed_width` and counted into one
+    :class:`PairwiseCounts` as it arrives, so memory does not grow with the
+    number of rows.  Every other file, and every file with a fault (a body
+    the byte view refuses, a ``y`` outside {0, 1}, a header-only file), is
+    read whole by those two functions.
+    """
+    streamed = _stream_dataset_marginals(path)
+    if streamed is None:
+        return pairwise_from_dataset(read_dataset_csv(path)), _digest_file(path)
+    return streamed
+
+
+def _stream_dataset_marginals(path) -> tuple | None:
+    """:func:`read_dataset_marginals` on the byte view, or None when the
+    file leaves it."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head.endswith(b"\n") or b"\r" in head[:-2]:  # as _body_after_header
+            return None
+        try:
+            ncols = len(_dataset_header(io.StringIO(head.decode("utf-8")), path))
+        except (UnicodeDecodeError, ValidationError):
+            return None
+        sha.update(head)
+        first = fh.readline()
+        if not first:
+            return None
+        # Every row is as long as the first, and `probe` is the byte that
+        # tells its \n from \r\n, so it must read alike in every block.
+        size = max(1, distributions.GRAM_CHUNK // len(first)) * len(first)
+        probe = slice(2 * ncols - 1, 2 * ncols)
+        block = first + fh.read(size - len(first))
+        try:
+            counts = PairwiseCounts(AlphabetSpec(ncols - 1, 2))
+            while block:
+                sha.update(block)
+                labels = _parse_fixed_width(block, ncols)
+                if labels is None or block[probe] not in (b"", first[probe]) or labels[:, -1].max() > 1:
+                    return None
+                counts.widen(max(2, 1 + int(labels[:, :-1].max())))
+                counts.add(labels[:, :-1], labels[:, -1])
+                block = fh.read(size)
+        except ValidationError:  # the cap on Q, reported with the file's own m
+            return None
+    return counts.marginals(), "sha256:" + sha.hexdigest()
+
+
+def _digest_file(path) -> str:
+    """``sha256:`` and the hex SHA-256 of the bytes of file ``path``, read
+    in blocks of 1 MiB."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(2**20), b""):
+            sha.update(block)
+    return "sha256:" + sha.hexdigest()
+
+
+def _dataset_header(fh, path) -> list:
+    return _read_header(fh, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+
+
 def _read_dataset_rows(path) -> np.ndarray:
-    """The label rows of a dataset CSV.  The file is read once as bytes, and
-    its bytes are dropped before the caller copies the rows into a
-    :class:`Dataset`.  A body that :func:`_parse_fixed_width` accepts is
-    parsed in place; any other goes through :func:`_loadtxt_body`."""
+    """The label rows of a dataset CSV: uint8 from the byte view, else
+    int64.  The file is read once as bytes, and its bytes are dropped before
+    the caller copies the rows into a :class:`Dataset`.  A body that
+    :func:`_parse_fixed_width` accepts is parsed in place; any other goes
+    through :func:`_loadtxt_body`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as text, _decoding(path):
-        header = _read_header(text, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+        header = _dataset_header(text, path)
         rows = _parse_fixed_width(_body_after_header(raw), len(header))
         if rows is None:
             rows, _ = _loadtxt_body(text, path, header)

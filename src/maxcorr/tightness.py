@@ -294,8 +294,9 @@ def is_additive(joint: DiscreteJoint, tol: float = TIGHT_TOL) -> AdditiveDecompo
 
     Probability-weighted least squares; off-support states carry no
     constraint.  ``additive`` is set when the worst support residual is
-    within ``tol``.
+    within ``tol``, a finite number >= 0.
     """
+    tol = tolerance(tol)
     p1 = joint.p_y1
     if p1 <= 0.0 or p1 >= 1.0:
         raise DegenerateY(f"P(Y=1) = {p1}; additivity test undefined")
@@ -323,8 +324,10 @@ def construct_additive(
     against ``expected_marginals`` entrywise when given, and always via the
     stationarity residual).  The result keeps all pairwise marginals of the
     base and has conditional P*(Y=1|x) = 1/2 + z_star'w_x, an additive
-    function with per-feature tables z block + 1/(2p).
+    function with per-feature tables z block + 1/(2p).  ``tol``, the slack
+    on ``h``, must be a finite number >= 0.
     """
+    tol = tolerance(tol)
     spec = base.spec
     z_star = np.asarray(z_star, dtype=float)
     if z_star.shape != (spec.pm,):

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 import maxcorr as mx
 from maxcorr import tightness
-from maxcorr.distributions import INPUT_TOL
+from maxcorr.distributions import INPUT_TOL, q_from_upper
 from maxcorr.errors import DuplicateEntry, LabelOutOfRange, NegativeProbability, ValidationError
 from maxcorr.tightness import TIGHT_TOL
 
@@ -167,6 +167,22 @@ def legacy_one_hot(labels, m, dtype=float):
     w = np.zeros((n, p * m), dtype=dtype)
     w[np.arange(n)[:, None], labels + np.arange(p) * m] = 1.0
     return w
+
+
+def legacy_pairwise_by_pair(data):
+    """Empirical pairwise marginals, one ``np.bincount`` per feature and per
+    feature pair over all rows."""
+    spec = data.spec
+    p, m, n = spec.p, spec.m, data.n
+    x = data.rows[:, :p]
+    y = data.rows[:, p]
+    px, xy = np.zeros((p, m)), np.zeros((p, m, 2))
+    for i in range(p):
+        px[i] = np.bincount(x[:, i], minlength=m) / n
+        xy[i] = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2) / n
+    pairs = itertools.combinations(range(p), 2)
+    upper = [np.bincount(x[:, i] * m + x[:, j], minlength=m * m) / n for i, j in pairs]
+    return mx.PairwiseMarginalSet.from_q(spec, q_from_upper(spec, upper, px), xy)
 
 
 def legacy_validate_marginals(marginals, tol=INPUT_TOL):

@@ -15,7 +15,6 @@ from maxcorr.distributions import (
     GRAM_CHUNK,
     GRAM_MAX_M,
     Q_CAP,
-    _pairwise_by_pair,
     empirical_joint,
 )
 from maxcorr.errors import (
@@ -32,6 +31,7 @@ from maxcorr.numerics import eigh, solve_lp
 
 from conftest import (
     legacy_one_hot,
+    legacy_pairwise_by_pair,
     legacy_permute_prob,
     legacy_sample_rows,
     legacy_states,
@@ -309,13 +309,13 @@ class TestDatasets:
         x = np.where(copy, latent[:, None], rng.integers(0, 2, size=(n, p)))
         data = mx.Dataset(mx.AlphabetSpec(p, 2), np.column_stack([x, latent]))
         assert data.spec.n_atoms > ATOM_CAP
-        assert_same_tables(mx.pairwise_from_dataset(data), _pairwise_by_pair(data))
+        assert_same_tables(mx.pairwise_from_dataset(data), legacy_pairwise_by_pair(data))
 
     @pytest.mark.parametrize("m", [GRAM_MAX_M + 1, 12])
     def test_many_labels_count_pair_by_pair(self, m):
         data = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(3, m), seed=m), n=900, seed=m)
         via_joint = mx.pairwise_from_joint(empirical_joint(data))
-        with mock.patch.object(distributions, "_pairwise_counts", side_effect=AssertionError("Gram taken")):
+        with mock.patch.object(distributions, "one_hot", side_effect=AssertionError("Gram taken")):
             via_loop = mx.pairwise_from_dataset(data)
         assert_allclose(via_loop.px, via_joint.px, atol=0)
         assert_allclose(via_loop.xy, via_joint.xy, atol=0)
@@ -364,9 +364,11 @@ def assert_same_tables(got, want):
 
 def via_gram(data, **patches):
     """``pairwise_from_dataset`` on the count Gram route, whatever p and m."""
-    loop = mock.patch.object(distributions, "_pairwise_by_pair", side_effect=AssertionError("loop taken"))
-    with mock.patch.multiple(distributions, GRAM_MAX_M=data.spec.m, **patches), loop:
-        return mx.pairwise_from_dataset(data)
+    gram = mock.patch.object(distributions, "one_hot", wraps=distributions.one_hot)
+    with mock.patch.multiple(distributions, GRAM_MAX_M=data.spec.m, **patches), gram as spy:
+        marginals = mx.pairwise_from_dataset(data)
+    assert spy.called, "loop taken"
+    return marginals
 
 
 class TestGramCounts:
@@ -388,14 +390,14 @@ class TestGramCounts:
         y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n), "ones": np.ones(n)}
         data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y[y_kind]]))
         got = via_gram(data, GRAM_CHUNK=chunk * p * m)  # `chunk` rows each
-        assert_same_tables(got, _pairwise_by_pair(data))
+        assert_same_tables(got, legacy_pairwise_by_pair(data))
 
     def test_matches_the_loop_past_two_full_size_chunks(self):
         p, m = 8, 5
         n = 2 * (GRAM_CHUNK // (p * m)) + 5
         joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=3, alpha=0.3)
         data = mx.sample_dataset(joint, n=n, seed=3)
-        assert_same_tables(via_gram(data), _pairwise_by_pair(data))
+        assert_same_tables(via_gram(data), legacy_pairwise_by_pair(data))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

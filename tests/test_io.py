@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 import os
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
+import maxcorr.cli
+import maxcorr.distributions as distributions
 import maxcorr.io as mio
 from maxcorr.distributions import ATOM_CAP
 from maxcorr.errors import (
@@ -38,6 +43,7 @@ from maxcorr.io import (
 
 from conftest import (
     legacy_dumps_canonical,
+    legacy_pairwise_by_pair,
     legacy_read_dataset_csv,
     legacy_read_generic_csv,
     legacy_read_joint_csv,
@@ -85,6 +91,7 @@ class TestDatasetCsv:
         path = tmp_path / "data.csv"
         write_dataset_csv(data, path)
         loaded = read_dataset_csv(path)
+        assert loaded.rows.dtype == np.int64  # the byte view's uint8 rows are not exposed
         assert np.array_equal(loaded.rows, data.rows)
 
     def test_bad_label_rejected(self, tmp_path):
@@ -528,15 +535,17 @@ def outcome(read, path):
         return exc
 
 
-def assert_same_outcome(path):
+def assert_same_outcome(path, byte_view=False):
     """The byte view and the ``np.loadtxt`` route read ``path`` to equal
-    int64 rows, or raise the same class with the same message."""
+    rows, uint8 where the byte view takes the body and int64 elsewhere, or
+    raise the same class with the same message."""
     got, want = outcome(mio._read_dataset_rows, path), outcome(loadtxt_rows, path)
     if isinstance(want, ValidationError):
         assert type(got) is type(want)
         assert str(got) == str(want)
     else:
-        assert got.dtype == want.dtype == np.int64
+        assert want.dtype == np.int64
+        assert got.dtype == (np.uint8 if byte_view else np.int64)
         assert np.array_equal(got, want)
 
 
@@ -619,7 +628,7 @@ def test_byte_view_matches_the_loadtxt_route(tmp_path, case):
     assert (parsed is not None) == (width == 1 and miss is None)
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode())
-    assert_same_outcome(path)
+    assert_same_outcome(path, byte_view=parsed is not None)
 
 
 def test_byte_view_reads_nothing_past_the_body():
@@ -641,6 +650,147 @@ def test_long_fields_match_the_loadtxt_route(tmp_path, field):
     path = tmp_path / "data.csv"
     path.write_text("x1,y\n" + body)
     assert_same_outcome(path)
+
+
+def whole_file_route(path):
+    """(q, xy, digest) of a dataset CSV read whole, the digest taken by
+    ``hashlib`` directly, or the error raised."""
+    try:
+        marginals = mx.pairwise_from_dataset(read_dataset_csv(path))
+    except ValidationError as exc:
+        return exc
+    return marginals.q, marginals.xy, "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def streamed_route(path, chunk):
+    """(q, xy, digest) from :func:`read_dataset_marginals` with ``GRAM_CHUNK``
+    set to ``chunk``, or the error raised."""
+    with mock.patch.object(distributions, "GRAM_CHUNK", chunk):
+        try:
+            marginals, digest = mio.read_dataset_marginals(path)
+        except ValidationError as exc:
+            return exc
+    return marginals.q, marginals.xy, digest
+
+
+def assert_same_result(got, want):
+    if isinstance(want, ValidationError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+def dataset_bytes(rows, end="\n", final=True) -> bytes:
+    header = [f"x{i + 1}" for i in range(len(rows[0]) - 1)] + ["y"]
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return (end.join(lines) + (end if final else "")).encode()
+
+
+@parity(200)
+@given(
+    p=st.integers(1, 5),
+    n=st.integers(1, 60),
+    m=st.integers(2, 10),
+    chunk=st.integers(1, 96),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+    final=st.booleans(),
+)
+def test_streamed_reader_matches_the_whole_file_route(tmp_path, p, n, m, chunk, seed, crlf, final):
+    """Single-digit files in blocks of 1 to 24 rows give the whole-file
+    route's q and xy bit for bit, and the file's digest: with either line
+    end, with or without the last one, when a later block raises m, and on
+    the bincount route (m from 7 to 10)."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, m, size=(n, p))
+    rise = int(rng.integers(0, n + 1))
+    x[:rise] %= int(rng.integers(1, m + 1))  # the first rows take fewer labels
+    rows = np.column_stack([x, rng.integers(0, 2, size=n)]).tolist()
+    path = tmp_path / "data.csv"
+    path.write_bytes(dataset_bytes(rows, "\r\n" if crlf else "\n", final))
+    with mock.patch.object(distributions, "GRAM_CHUNK", chunk):
+        assert mio._stream_dataset_marginals(path) is not None  # no fallback
+    want = whole_file_route(path)
+    assert_same_result(streamed_route(path, chunk), want)
+    assert np.array_equal(want[0], legacy_pairwise_by_pair(legacy_read_dataset_csv(path)).q)
+
+
+def test_a_later_block_that_raises_m_widens_the_counts(tmp_path):
+    """Blocks of one row: labels 0-1, then 0-3 (the Gram), then 0-8 (the
+    bincount route); the counts are re-laid twice and stay exact, and a
+    block with fewer labels leaves them as they are."""
+    rows = [[0, 1, 0], [1, 1, 1], [3, 0, 1], [2, 3, 0], [8, 0, 1], [1, 7, 0]]
+    path = tmp_path / "data.csv"
+    path.write_bytes(dataset_bytes(rows))
+    widen = mock.patch.object(
+        distributions.PairwiseCounts, "widen", autospec=True, side_effect=distributions.PairwiseCounts.widen
+    )
+    with widen as spy:
+        got = streamed_route(path, 6)  # one row of 6 bytes per block
+    assert [c.args[1] for c in spy.call_args_list] == [2, 2, 4, 4, 9, 8]
+    assert_same_result(got, whole_file_route(path))
+
+
+#: Files that leave the byte view, and whether they get past a first block.
+FALLBACKS = [
+    ("two-digit label in the last block", dataset_bytes([[0, 1]] * 9 + [[10, 1]]), True),
+    ("blank line", b"x1,y\n" + b"0,1\n" * 5 + b"\n1,0\n", True),
+    ("LF rows after CRLF rows", b"x1,y\r\n" + b"0,1\r\n" * 4 + b"1,0\n" * 5, True),
+    ("y = 2 in the last block", dataset_bytes([[0, 1]] * 9 + [[1, 2]]), True),
+    ("header and no rows", b"x1,x2,y\n", False),
+    ("non-UTF-8 header", b"x\xe91,y\n0,1\n", False),
+    ("Q over the cap", dataset_bytes([[0] * 4097 + [1], [5] + [0] * 4096 + [1]]), False),
+]
+
+
+@pytest.mark.parametrize(
+    "text,late", [(t, late) for _, t, late in FALLBACKS], ids=[d for d, _, _ in FALLBACKS]
+)
+def test_files_off_the_byte_view_read_as_before(tmp_path, text, late):
+    """The streamed reader gives up, counts and all, and the whole-file route
+    gives the result, or the same class and message."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    add = mock.patch.object(
+        distributions.PairwiseCounts, "add", autospec=True, side_effect=distributions.PairwiseCounts.add
+    )
+    with add as spy, mock.patch.object(distributions, "GRAM_CHUNK", 20):  # 4 or 5 rows a block
+        assert mio._stream_dataset_marginals(path) is None
+    assert spy.called == late
+    assert_same_result(streamed_route(path, 20), whole_file_route(path))
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_streamed_load_peaks_below_4_mib_at_any_n(tmp_path, n):
+    """p=8, m=4: the whole-file route peaks at 17.6 MiB at n=10^5 and
+    137 MiB at n=10^6 (tracemalloc); the stream holds one block of rows."""
+    p, m = 8, 4
+    rng = np.random.default_rng(n)
+    rows = np.column_stack(
+        [rng.integers(0, m, size=(n, p), dtype=np.uint8), rng.integers(0, 2, size=n, dtype=np.uint8)]
+    )
+    body = np.full((n, 2 * (p + 1)), ord(","), dtype=np.uint8)
+    body[:, 0::2] = rows + ord("0")
+    body[:, -1] = ord("\n")
+    path = tmp_path / "data.csv"
+    with open(path, "wb") as fh:
+        fh.write((",".join([f"x{i + 1}" for i in range(p)] + ["y"]) + "\n").encode())
+        body.tofile(fh)
+    del body
+    args = argparse.Namespace(joint=None, data=str(path), marginals=None)
+    tracemalloc.start()
+    try:
+        marginals, digest = maxcorr.cli._load_marginals(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    counts = [np.bincount(rows[:, i], minlength=m) for i in range(p)]
+    assert np.array_equal(marginals.px, np.array(counts) / n)
+    assert digest == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @parity(60)

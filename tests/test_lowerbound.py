@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
-from maxcorr.distributions import _pairwise_by_pair
 from maxcorr.errors import (
     DegenerateY,
     DimensionMismatch,
@@ -16,6 +15,8 @@ from maxcorr.errors import (
 )
 from maxcorr.lowerbound import QdSystem
 from maxcorr.numerics import numerical_rank, pseudoinverse
+
+from conftest import legacy_pairwise_by_pair
 
 
 def system_of(joint):
@@ -356,9 +357,9 @@ class TestManyFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # G, its copy Q and one 4 MB chunk; a one-hot of all rows would be 160 MB
+        # G, its copy Q and one 1 MB chunk; a one-hot of all rows would be 160 MB
         assert peak < 64 * 2**20
-        assert np.array_equal(marginals.q, _pairwise_by_pair(data).q)
+        assert np.array_equal(marginals.q, legacy_pairwise_by_pair(data).q)
         system = mx.assemble_qd(marginals)
         assert 0.0 <= mx.rho_lb(system) <= 1.0
         assert mx.check_tightness(system).verdict in ("Tight", "NotTight")

@@ -183,8 +183,28 @@ class TestIsAdditive:
         with pytest.raises(DegenerateY):
             mx.is_additive(joint)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_refused(self, tol):
+        """A NaN ``tol`` used to call an additive joint not additive."""
+        joint = mx.additive_fixture(mx.AlphabetSpec(2, 2), seed=0)
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            mx.is_additive(joint, tol=tol)
+        assert mx.is_additive(joint).additive
+
 
 class TestConstructAdditive:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_refused(self, tol):
+        """A NaN ``tol`` used to let through a z whose joint drifts 0.010
+        from the base marginals, where the default raises."""
+        base = mx.nonadditive_fixture()
+        system = system_of(base)
+        z_star = mx.check_tightness(system).z_star
+        with pytest.raises(ValidationError, match="tol must be a finite number >= 0"):
+            mx.construct_additive(z_star, base, tol=tol)
+        with pytest.raises(HConstraintViolated):
+            mx.construct_additive(z_star, base)
+
     def test_uniform_with_zero_vector_returns_base(self):
         base = mx.uniform_joint(mx.AlphabetSpec(2, 2))
         constructed = mx.construct_additive(np.zeros(4), base)
