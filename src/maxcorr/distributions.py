@@ -48,19 +48,21 @@ INTERNAL_TOL = 1e-12
 ATOM_CAP = 2**22
 #: Entries of the (pm, pm) matrix Q of a marginal set: 512 MB of float64.
 Q_CAP = 2**26
-#: One-hot entries per row chunk of the count Gram (a 1 MB float32 block);
-#: below 2^24, so every chunk's float32 counts are exact.
+#: Entries of the float32 buffer the count Gram takes a chunk of rows
+#: through (1 MB); a chunk has fewer than 2^24 rows, so its counts are exact.
 GRAM_CHUNK = 2**18
-#: Largest m for which a dataset's tables come from the count Gram, not the
-#: pair loop: per row the Gram does (pm)^2 multiply-adds, the loop p^2 / 2
-#: bincount steps.  Best-of-5 ms, Gram / loop, n = 50,000, one BLAS thread:
+#: A dataset's tables come from the count Gram while (m-1)^2 <= GRAM_RATIO * p,
+#: from the pair loop above that: per row the Gram does ((m-1)p)^2 / 2
+#: multiply-adds, the loop p^2 / 2 bincount steps.  Best-of-5 ms, Gram / loop,
+#: n = 50,000, one BLAS thread:
 #:     p \ m      4        8       12       16       20       24
-#:       3    1.9/1.6  3.2/1.5  3.9/1.5  7.4/1.9  8.7/1.6   10/1.6
-#:       8    4.6/16   8.2/17    11/16    18/16    21/16    37/19
-#:      12     14/39    17/43    25/41    38/43    52/41    70/42
-#:      24     16/165   31/172   51/152   95/162  115/155  171/153
-#: No single value is no slower on every shape, so 6 stays for now.
-GRAM_MAX_M = 6
+#:       3    0.96/1.3  1.8/1.3  2.8/1.3  4.1/1.4  5.5/1.4  6.8/1.4
+#:       8     2.4/8.1  5.3/8.3  9.2/8.4   14/8.8   20/9.1   37/14
+#:      12     3.7/18   9.3/19    17/19    25/20    37/21    53/22
+#:      24     9.1/65    24/54    47/66    83/74   126/70   187/77
+#: The rule takes the faster route in every cell but (12, 12), a tie that
+#: read 23/22 in another run.
+GRAM_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,14 @@ class AlphabetSpec:
         return one_hot(self.states(), self.m)
 
 
-def one_hot(labels: np.ndarray, m: int, dtype=float) -> np.ndarray:
+def one_hot(labels: np.ndarray, m: int) -> np.ndarray:
     """The (n, p*m) one-hot rows of (n, p) labels in 0..m-1: block i holds X_i.
 
     The ones go in by one scatter into the flat array, at
     ``r * p*m + i*m + labels[r, i]``.
     """
     n, p = labels.shape
-    w = np.zeros((n, p * m), dtype=dtype)
+    w = np.zeros((n, p * m))
     flat = labels + np.arange(p) * m
     flat += np.arange(0, n * p * m, p * m)[:, None]
     w.reshape(-1)[flat] = 1.0
@@ -444,68 +446,95 @@ def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
 
 class PairwiseCounts:
     """Running exact counts of a dataset's pairwise tables over the rows
-    added so far: the count Gram ``W'W`` of the one-hot rows ``W`` (pair
-    counts in its off-diagonal blocks, label counts on its diagonal) and
-    ``W'y``, the counts of each label with ``Y = 1``.
+    added so far: the Gram ``V'V`` of the rows ``v = (y, w)``, ``w`` one-hot
+    and label-major (label k of feature i is column ``1 + k*p + i``).  It
+    holds ``n_1``, the counts of each label with ``Y = 1``, the label counts
+    on its diagonal and the pair counts.
 
-    For ``m <= GRAM_MAX_M`` a block of rows is counted as the float32 Gram of
-    ``GRAM_CHUNK // pm`` one-hot rows at a time, summed in float64; above it,
-    one ``np.bincount`` per feature and per pair.  Both are exact: a chunk's
-    float32 entries are integers no larger than its row count, below 2^24,
-    and the totals are integers no larger than n.  So how the rows are split
-    into blocks, and which route counts them, moves no bit of
-    :meth:`marginals`, where each entry is divided by n once.  The extra
-    memory is the Gram, its copy ``Q`` and one chunk, whatever n.
+    Only labels ``0..m-2`` are kept, the first ``1 + (m-1)p`` columns: each
+    row has one label per feature, so the counts of label ``m-1`` are those
+    of the feature less those of its other labels (:meth:`_expanded`).  While
+    ``(m-1)^2 <= GRAM_RATIO * p`` a block is counted ``GRAM_CHUNK // (1 +
+    (m-1)p)`` rows at a time, as the float32 Gram of one reused buffer that
+    holds ``V'``, each label's p rows filled by one comparison with the
+    labels (uint8: m <= 40 there, as pm^2 is capped); above, by one
+    ``np.bincount`` per feature and per pair.  All of it is exact: a chunk's
+    float32 entries are integers below 2^24, and every total and difference
+    an integer no larger than n.  So neither the blocks nor the route move a
+    bit of :meth:`marginals`, which divides each entry by n once.  The extra
+    memory is the counts, their expansion to ``Q`` and the buffers.
     """
 
     def __init__(self, spec: AlphabetSpec):
         spec.require_q()
-        self.spec = spec
         self.n = 0
-        self.gram = np.zeros((spec.pm, spec.pm))
-        self.wy = np.zeros(spec.pm)
+        self._relay(spec, np.zeros((1, 1)))
+
+    def _relay(self, spec: AlphabetSpec, counts: np.ndarray):
+        """Lay out the kept counts of ``spec``, with ``counts`` (labels
+        below the old m, all kept) in their top-left corner, and the buffers."""
+        self.spec, kept = spec, 1 + (spec.m - 1) * spec.p
+        self.gram = np.zeros((kept, kept))
+        self.gram[: len(counts), : len(counts)] = counts
+        rows = max(1, GRAM_CHUNK // kept)
+        self._buf, self._labels = np.empty((kept, rows), dtype=np.float32), np.empty((spec.p, rows), np.uint8)
 
     def widen(self, m: int):
         """Re-lay the counts for labels in 0..m-1, when ``m`` is larger than
         the current alphabet; the cap on ``Q`` is checked first."""
-        p, old = self.spec.p, self.spec.m
-        if m <= old:
-            return
-        spec = AlphabetSpec(p, m)
-        spec.require_q()
-        gram, wy = np.zeros((p, m, p, m)), np.zeros((p, m))
-        gram[:, :old, :, :old] = self.gram.reshape(p, old, p, old)
-        wy[:, :old] = self.wy.reshape(p, old)
-        self.spec, self.gram, self.wy = spec, gram.reshape(spec.pm, spec.pm), wy.reshape(-1)
+        if m > self.spec.m:
+            spec = AlphabetSpec(self.spec.p, m)
+            spec.require_q()
+            self._relay(spec, self._expanded())
 
     def add(self, x: np.ndarray, y: np.ndarray):
         """Count (rows, p) labels ``x`` in 0..m-1 and their binary ``y``."""
-        p, m, pm = self.spec.p, self.spec.m, self.spec.pm
-        if m <= GRAM_MAX_M:
-            rows = max(1, GRAM_CHUNK // pm)
-            for lo in range(0, len(x), rows):
-                w = one_hot(x[lo : lo + rows], m, np.float32)
-                self.gram += w.T @ w
-                self.wy += y[lo : lo + rows].astype(np.float32) @ w
-        else:
-            x, y = x.astype(np.intp), y.astype(np.intp)
-            blocks, wy = self.gram.reshape(p, m, p, m), self.wy.reshape(p, m)
-            for i in range(p):
-                counts = np.bincount(x[:, i] * 2 + y, minlength=2 * m).reshape(m, 2)
-                blocks[i, np.arange(m), i, np.arange(m)] += counts.sum(axis=1)
-                wy[i] += counts[:, 1]
-            for i, j in combinations(range(p), 2):
-                counts = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m)
-                blocks[i, :, j] += counts
-                blocks[j, :, i] += counts.T
+        by_gram = (self.spec.m - 1) ** 2 <= GRAM_RATIO * self.spec.p
+        (self._add_gram if by_gram else self._add_pairs)(x, y)
         self.n += len(x)
 
+    def _add_gram(self, x: np.ndarray, y: np.ndarray):
+        p, rows = self.spec.p, self._buf.shape[1]
+        for lo in range(0, len(x), rows):
+            hi = min(lo + rows, len(x))
+            labels, v = self._labels[:, : hi - lo], self._buf[:, : hi - lo]
+            labels[...] = x[lo:hi].T
+            v[0] = y[lo:hi]
+            for k in range(self.spec.m - 1):
+                np.equal(labels, k, out=v[1 + k * p : 1 + (k + 1) * p], casting="unsafe")
+            self.gram += v @ v.T
+
+    def _add_pairs(self, x: np.ndarray, y: np.ndarray):
+        p, m = self.spec.p, self.spec.m
+        x, y = x.astype(np.intp), y.astype(np.intp)
+        # Column 0 below row 0, the mirror of row 0, is never read.
+        wy, blocks = self.gram[0, 1:].reshape(m - 1, p), self.gram[1:, 1:].reshape(m - 1, p, m - 1, p)
+        self.gram[0, 0] += y.sum()
+        for i in range(p):
+            counts = np.bincount(x[:, i] * 2 + y, minlength=2 * m)[: 2 * m - 2].reshape(m - 1, 2)
+            blocks[np.arange(m - 1), i, np.arange(m - 1), i] += counts.sum(axis=1)
+            wy[:, i] += counts[:, 1]
+        for i, j in combinations(range(p), 2):
+            counts = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m)[:-1, :-1]
+            blocks[:, i, :, j] += counts
+            blocks[:, j, :, i] += counts.T
+
+    def _expanded(self) -> np.ndarray:
+        """The ``(1 + pm)``-square Gram of all labels, from the kept counts."""
+        p, kept = self.spec.p, self.gram
+        own = np.diag(kept)
+        last = own[:, None] - kept[:, 1:].reshape(-1, self.spec.m - 1, p).sum(axis=1)
+        corner = self.n - own[1:].reshape(-1, p).sum(axis=0) - last[1:].reshape(-1, p, p).sum(axis=0)
+        return np.block([[kept, last], [last.T, corner]])
+
     def marginals(self) -> PairwiseMarginalSet:
-        """The empirical marginal set of the rows counted; this ends the
-        count, as the Gram is divided by n in place."""
+        """The empirical marginal set of the rows counted."""
         p, m, n = self.spec.p, self.spec.m, self.n
-        xy = np.stack([np.diag(self.gram) - self.wy, self.wy], axis=1).reshape(p, m, 2) / n
-        return PairwiseMarginalSet.from_q(self.spec, np.divide(self.gram, n, out=self.gram), xy)
+        full = self._expanded()
+        wy, count = full[0, 1:].reshape(m, p).T, np.diag(full)[1:].reshape(m, p).T
+        xy = np.stack([count - wy, wy], axis=2) / n
+        q = full[1:, 1:].reshape(m, p, m, p).transpose(1, 0, 3, 2).reshape(p * m, p * m)
+        return PairwiseMarginalSet.from_q(self.spec, np.divide(q, n, out=q), xy)
 
 
 def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:

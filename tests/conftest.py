@@ -161,10 +161,10 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def legacy_one_hot(labels, m, dtype=float):
+def legacy_one_hot(labels, m):
     """One-hot rows by 2-D fancy indexing: row index against column index."""
     n, p = labels.shape
-    w = np.zeros((n, p * m), dtype=dtype)
+    w = np.zeros((n, p * m))
     w[np.arange(n)[:, None], labels + np.arange(p) * m] = 1.0
     return w
 

@@ -1,10 +1,11 @@
 import tracemalloc
 from itertools import permutations
+from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -13,7 +14,7 @@ import maxcorr.distributions as distributions
 from maxcorr.distributions import (
     ATOM_CAP,
     GRAM_CHUNK,
-    GRAM_MAX_M,
+    GRAM_RATIO,
     Q_CAP,
     empirical_joint,
 )
@@ -311,11 +312,12 @@ class TestDatasets:
         assert data.spec.n_atoms > ATOM_CAP
         assert_same_tables(mx.pairwise_from_dataset(data), legacy_pairwise_by_pair(data))
 
-    @pytest.mark.parametrize("m", [GRAM_MAX_M + 1, 12])
+    @pytest.mark.parametrize("m", [2 + isqrt(3 * GRAM_RATIO), 12])  # the loop's m at p = 3
     def test_many_labels_count_pair_by_pair(self, m):
         data = mx.sample_dataset(mx.random_joint(mx.AlphabetSpec(3, m), seed=m), n=900, seed=m)
         via_joint = mx.pairwise_from_joint(empirical_joint(data))
-        with mock.patch.object(distributions, "one_hot", side_effect=AssertionError("Gram taken")):
+        gram = mock.patch.object(distributions.PairwiseCounts, "_add_gram", side_effect=AssertionError("Gram taken"))
+        with gram:
             via_loop = mx.pairwise_from_dataset(data)
         assert_allclose(via_loop.px, via_joint.px, atol=0)
         assert_allclose(via_loop.xy, via_joint.xy, atol=0)
@@ -331,7 +333,7 @@ class TestDatasets:
         y_kind=st.sampled_from(["random", "zeros", "ones"]),
     )
     def test_tables_are_exact_counts_over_n(self, p, m, n, seed, y_kind):
-        """Both sides of ``GRAM_MAX_M`` give integer counts divided by n once.
+        """Both sides of ``GRAM_RATIO`` give integer counts divided by n once.
         The joint route sums up to m^(p-1) atoms per entry; over 3000 draws
         in this range it moved by at most 4.6e-15 (at p = 6), so 1e-14."""
         rng = np.random.default_rng(seed)
@@ -362,10 +364,15 @@ def assert_same_tables(got, want):
     assert np.array_equal(got.xy, want.xy)
 
 
+def spy_on(method):
+    """A patch that counts the calls of a :class:`PairwiseCounts` method."""
+    counts = distributions.PairwiseCounts
+    return mock.patch.object(counts, method, autospec=True, side_effect=getattr(counts, method))
+
+
 def via_gram(data, **patches):
     """``pairwise_from_dataset`` on the count Gram route, whatever p and m."""
-    gram = mock.patch.object(distributions, "one_hot", wraps=distributions.one_hot)
-    with mock.patch.multiple(distributions, GRAM_MAX_M=data.spec.m, **patches), gram as spy:
+    with mock.patch.multiple(distributions, GRAM_RATIO=float("inf"), **patches), spy_on("_add_gram") as spy:
         marginals = mx.pairwise_from_dataset(data)
     assert spy.called, "loop taken"
     return marginals
@@ -389,15 +396,86 @@ class TestGramCounts:
         x = (rng.uniform(size=(n, p)) * tops).astype(np.int64)
         y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n), "ones": np.ones(n)}
         data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y[y_kind]]))
-        got = via_gram(data, GRAM_CHUNK=chunk * p * m)  # `chunk` rows each
+        got = via_gram(data, GRAM_CHUNK=chunk * (1 + (m - 1) * p))  # `chunk` rows each
         assert_same_tables(got, legacy_pairwise_by_pair(data))
 
     def test_matches_the_loop_past_two_full_size_chunks(self):
         p, m = 8, 5
-        n = 2 * (GRAM_CHUNK // (p * m)) + 5
+        n = 2 * (GRAM_CHUNK // (1 + (m - 1) * p)) + 5
         joint = mx.random_joint(mx.AlphabetSpec(p, m), seed=3, alpha=0.3)
         data = mx.sample_dataset(joint, n=n, seed=3)
         assert_same_tables(via_gram(data), legacy_pairwise_by_pair(data))
+
+
+def draw_labels(rng, n, p, m, kinds):
+    """(n, p) labels in 0..m-1; feature i never takes label m-1 when
+    ``kinds[i]`` is "no m-1", and never label 0 when it is "no 0"."""
+    lo = np.array([kind == "no 0" for kind in kinds[:p]], dtype=np.int64)
+    hi = m - np.array([kind == "no m-1" for kind in kinds[:p]], dtype=np.int64)
+    return lo + (rng.uniform(size=(n, p)) * (hi - lo)).astype(np.int64)
+
+
+KINDS = st.lists(st.sampled_from(["any", "no m-1", "no 0"]), min_size=6, max_size=6)
+
+
+class TestReducedGram:
+    """The Gram counts labels 0..m-2; the counts of label m-1 follow from
+    them by difference, bit for bit those of the pair loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        m=st.integers(2, 6),
+        n=st.integers(1, 30),
+        block=st.integers(1, 10),
+        chunk=st.integers(1, 7),
+        kinds=KINDS,
+        y_kind=st.sampled_from(["random", "zeros", "ones"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=1, m=2, n=1, block=1, chunk=1, kinds=["any"] * 6, y_kind="ones", seed=0)
+    @example(p=1, m=4, n=1, block=1, chunk=1, kinds=["no m-1"] * 6, y_kind="zeros", seed=0)
+    @example(p=3, m=2, n=1, block=1, chunk=1, kinds=["no 0"] * 6, y_kind="random", seed=0)
+    def test_expansion_matches_the_pair_loop(self, p, m, n, block, chunk, kinds, y_kind, seed):
+        """Blocks of ``block`` rows, Gram chunks of ``chunk`` rows."""
+        rng = np.random.default_rng(seed)
+        x = draw_labels(rng, n, p, m, kinds)
+        y = {"random": rng.integers(0, 2, size=n), "zeros": np.zeros(n, int), "ones": np.ones(n, int)}[y_kind]
+        patches = dict(GRAM_RATIO=float("inf"), GRAM_CHUNK=chunk * (1 + (m - 1) * p))
+        with mock.patch.multiple(distributions, **patches), spy_on("_add_pairs") as by_pair:
+            counts = distributions.PairwiseCounts(mx.AlphabetSpec(p, m))
+            for lo in range(0, n, block):
+                counts.add(x[lo : lo + block], y[lo : lo + block])
+        assert not by_pair.called
+        data = mx.Dataset(mx.AlphabetSpec(p, m), np.column_stack([x, y]))
+        assert_same_tables(counts.marginals(), legacy_pairwise_by_pair(data))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 5),
+        m=st.integers(2, 3),
+        extra=st.integers(0, 3),
+        n1=st.integers(1, 20),
+        n2=st.integers(1, 20),
+        kinds=KINDS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_widened_past_the_gram_then_counted_by_pair(self, p, m, extra, n1, n2, kinds, seed):
+        """Gram-route blocks, then ``widen`` to an m the pair loop counts,
+        then loop-route blocks, into one accumulator."""
+        wide = 2 + isqrt(GRAM_RATIO * p) + extra  # the least m the loop counts, and up
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([draw_labels(rng, n1, p, m, kinds), draw_labels(rng, n2, p, wide, kinds)])
+        y = rng.integers(0, 2, size=n1 + n2)
+        with mock.patch.object(distributions, "GRAM_CHUNK", 3 * (1 + (m - 1) * p)):  # 3 rows a chunk
+            counts = distributions.PairwiseCounts(mx.AlphabetSpec(p, m))
+        with spy_on("_add_gram") as by_gram, spy_on("_add_pairs") as by_pair:
+            counts.add(x[:n1], y[:n1])
+            counts.widen(wide)
+            counts.add(x[n1:], y[n1:])
+        assert by_gram.call_count == 1 and by_pair.call_count == 1
+        data = mx.Dataset(mx.AlphabetSpec(p, wide), np.column_stack([x, y]))
+        assert_same_tables(counts.marginals(), legacy_pairwise_by_pair(data))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -405,12 +483,11 @@ class TestGramCounts:
     n=st.integers(0, 30),
     p=st.integers(1, 8),
     m=st.integers(2, 12),
-    dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_one_hot_matches_the_fancy_index_build(n, p, m, dtype, seed):
+def test_one_hot_matches_the_fancy_index_build(n, p, m, seed):
     labels = np.random.default_rng(seed).integers(0, m, size=(n, p))
-    got, want = distributions.one_hot(labels, m, dtype), legacy_one_hot(labels, m, dtype)
+    got, want = distributions.one_hot(labels, m), legacy_one_hot(labels, m)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -734,6 +734,35 @@ def test_a_later_block_that_raises_m_widens_the_counts(tmp_path):
     assert_same_result(got, whole_file_route(path))
 
 
+def test_labels_that_rise_to_8_in_a_later_full_size_block(tmp_path):
+    """p=4 in blocks of ``GRAM_CHUNK`` bytes: the first 60,000 rows take
+    labels 0-4 and are counted by the Gram, the next 20,000 take labels 0-8
+    and are counted pair by pair, into the widened counts."""
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.integers(0, 5, size=(60_000, 4)), rng.integers(0, 9, size=(20_000, 4))])
+    rows = np.column_stack([x, rng.integers(0, 2, size=len(x))]).tolist()
+    path = tmp_path / "data.csv"
+    path.write_bytes(dataset_bytes(rows))
+    assert len(dataset_bytes(rows[:60_000])) > 2 * distributions.GRAM_CHUNK  # the rise is in a later block
+    routes = []
+
+    def spy(name):
+        method = getattr(distributions.PairwiseCounts, name)
+
+        def record(counts, x, y):
+            routes.append((name, counts.spec.m))
+            method(counts, x, y)
+
+        return mock.patch.object(distributions.PairwiseCounts, name, record)
+
+    with spy("_add_gram"), spy("_add_pairs"):
+        marginals, digest = mio.read_dataset_marginals(path)
+    assert routes == sorted(routes) and set(routes) == {("_add_gram", 5), ("_add_pairs", 9)}
+    want = mx.pairwise_from_dataset(read_dataset_csv(path))
+    assert np.array_equal(marginals.q, want.q) and np.array_equal(marginals.xy, want.xy)
+    assert digest == mio._digest_file(path)
+
+
 #: Files that leave the byte view, and whether they get past a first block.
 FALLBACKS = [
     ("two-digit label in the last block", dataset_bytes([[0, 1]] * 9 + [[10, 1]]), True),

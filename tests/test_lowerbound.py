@@ -357,7 +357,7 @@ class TestManyFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # G, its copy Q and one 1 MB chunk; a one-hot of all rows would be 160 MB
+        # the counts, their expansion, Q and a 1 MB buffer; a one-hot of all rows would be 160 MB
         assert peak < 64 * 2**20
         assert np.array_equal(marginals.q, legacy_pairwise_by_pair(data).q)
         system = mx.assemble_qd(marginals)
