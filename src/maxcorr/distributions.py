@@ -22,7 +22,7 @@ and ``tightness._free_labels`` and ``_merge_functions`` also read it by blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from types import MappingProxyType
 
@@ -537,6 +537,21 @@ class PairwiseCounts:
         return PairwiseMarginalSet.from_q(self.spec, np.divide(q, n, out=q), xy)
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(p: int) -> tuple:
+    pairs = np.triu_indices(p, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def upper_pairs(p: int) -> tuple:
+    """``np.triu_indices(p, 1)`` as read-only arrays.  They are cached for
+    p <= 128, where the call costs more than the gather they index; larger
+    p builds them afresh rather than hold p^2 indices."""
+    return _upper_pairs(p) if p <= 128 else _upper_pairs.__wrapped__(p)
+
+
 def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:
     """The matrix Q of px and the tables ``mu^{ij}``, i < j, stacked as
     ``upper`` in ``np.triu_indices(p, 1)`` order; block (j, i) is the
@@ -545,7 +560,7 @@ def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:
     p, m = spec.p, spec.m
     upper = np.reshape(upper, (-1, m, m))
     q = np.diag(np.reshape(px, -1).astype(float)).reshape(p, m, p, m)
-    i, j = np.triu_indices(p, 1)
+    i, j = upper_pairs(p)
     q[i, :, j] = upper
     q[j, :, i] = np.swapaxes(upper, 1, 2)
     return q.reshape(p * m, p * m)
@@ -580,51 +595,55 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
     by some joint distribution; exact membership in the marginal polytope is
     only decidable by :func:`feasible_member` at dense scale.
 
-    Each check runs as one reduction over all tables; messages are built
-    for the flagged tables only, in the order the checks are listed below.
+    Each check runs as one reduction per group of tables; the flags are
+    joined, and messages built, only once one fires, for the flagged tables,
+    in the order the checks are listed below.
     """
     spec = marginals.spec
     p, m = spec.p, spec.m
     q, px, xy = marginals.q, marginals.px, marginals.xy
     blocks = q.reshape(p, m, p, m)  # blocks[i, :, j] is xx[(i, j)]
-    i_up, j_up = np.triu_indices(p, 1)
+    i_up, j_up = upper_pairs(p)
     upper = blocks[i_up, :, j_up]  # xx[(i, j)] for i < j, in (i, j) order
     violations = []
     warnings = []
 
     # Every table is a distribution: px[i] and xy[i] for each i, then
-    # xx[(i, j)] for i < j.  Entry 2i is px[i], 2i + 1 is xy[i], 2p + k is
-    # the k-th pair.
-    def per_table(reduce):
-        singles = np.column_stack([reduce(px), reduce(xy.reshape(p, 2 * m))]).reshape(-1)
-        return np.concatenate([singles, reduce(upper.reshape(-1, m * m))])
+    # xx[(i, j)] for i < j.  The flags are joined only once one fires:
+    # entry 2i is px[i], 2i + 1 is xy[i], 2p + k is the k-th pair.
+    tables = (px, xy.reshape(p, 2 * m), upper.reshape(-1, m * m))
+    negative = [t.min(axis=1) < -tol for t in tables]
+    off_sum = [np.abs(t.sum(axis=1) - 1.0) > tol for t in tables]
+    if any(map(np.count_nonzero, negative + off_sum)):
+        negative, off_sum = (
+            np.concatenate([np.column_stack(flags[:2]).reshape(-1), flags[2]]) for flags in (negative, off_sum)
+        )
+        for k in np.flatnonzero(negative | off_sum).tolist():
+            if k < 2 * p:
+                name, tab = f"{('px', 'xy')[k % 2]}[{k // 2}]", (px, xy)[k % 2][k // 2]
+            else:
+                name, tab = f"xx[{i_up[k - 2 * p]},{j_up[k - 2 * p]}]", upper[k - 2 * p]
+            if negative[k]:
+                violations.append(f"{name}: negative entry {tab.min():.3e}")
+            if off_sum[k]:
+                violations.append(f"{name}: sums to {tab.sum():.12f}, not 1")
 
-    negative = per_table(lambda a: a.min(axis=1)) < -tol
-    off_sum = np.abs(per_table(lambda a: a.sum(axis=1)) - 1.0) > tol
-    for k in np.flatnonzero(negative | off_sum).tolist():
-        if k < 2 * p:
-            name, tab = f"{('px', 'xy')[k % 2]}[{k // 2}]", (px, xy)[k % 2][k // 2]
-        else:
-            name, tab = f"xx[{i_up[k - 2 * p]},{j_up[k - 2 * p]}]", upper[k - 2 * p]
-        if negative[k]:
-            violations.append(f"{name}: negative entry {tab.min():.3e}")
-        if off_sum[k]:
-            violations.append(f"{name}: sums to {tab.sum():.12f}, not 1")
-
-    asymmetric = ~(np.abs(q - q.T) <= tol).reshape(p, m, p, m).all(axis=(1, 3))
-    for i, j in zip(*np.nonzero(np.triu(asymmetric, 1))):
-        violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
+    close = np.abs(q - q.T) <= tol
+    if not close.all():
+        asymmetric = ~close.reshape(p, m, p, m).all(axis=(1, 3))
+        for i, j in zip(*np.nonzero(np.triu(asymmetric, 1))):
+            violations.append(f"xx[{i},{j}] is not the transpose of xx[{j},{i}]")
 
     # Row sums of every table must reproduce the univariate marginals: for
     # each i, xy[i] first, then xx[(i, j)] for j != i.  Column 0 of
     # ``off_rows`` is xy[i] and column 1 + j is block (i, j) of Q; the
     # diagonal block diag(px[i]) sums to px[i] exactly, so it never shows.
-    pair_rows = blocks.sum(axis=3).transpose(0, 2, 1)
-    rows = np.concatenate([xy.sum(axis=2)[:, None], pair_rows], axis=1)
-    off_rows = ~(np.abs(rows - px[:, None, :]) <= tol).all(axis=2)
-    for i, c in zip(*(idx.tolist() for idx in np.nonzero(off_rows))):
-        table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1}]"
-        violations.append(f"{table} row sums disagree with px[{i}]")
+    rows = (xy.sum(axis=2)[:, None], blocks.sum(axis=3).transpose(0, 2, 1))
+    off_rows = [~(np.abs(r - px[:, None, :]) <= tol).all(axis=2) for r in rows]
+    if any(map(np.count_nonzero, off_rows)):
+        for i, c in zip(*(idx.tolist() for idx in np.nonzero(np.concatenate(off_rows, axis=1)))):
+            table = f"xy[{i}]" if c == 0 else f"xx[{i},{c - 1}]"
+            violations.append(f"{table} row sums disagree with px[{i}]")
 
     py = xy.sum(axis=1)  # (p, 2)
     disagree = ~(np.abs(py[1:] - py[0]) <= tol).all(axis=1)
@@ -654,7 +673,7 @@ def feasible_member(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -> D
     # each entry of xy[i] (one atom), and the total mass (the last row).
     p, m, n_states = spec.p, spec.m, spec.n_states
     w = spec.indicator_matrix().reshape(n_states, p, m)
-    i, j = np.triu_indices(p, 1)
+    i, j = upper_pairs(p)
     pairs = (w[:, i, :, None] * w[:, j, None, :]).reshape(n_states, -1).T
     a_eq = np.ones((len(pairs) + 2 * p * m + 1, spec.n_atoms))
     a_eq[: len(pairs), 0::2] = a_eq[: len(pairs), 1::2] = pairs

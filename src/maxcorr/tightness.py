@@ -242,20 +242,31 @@ def _known_null_minimizer(system: QdSystem, extra: int) -> np.ndarray | None:
     return _clip_free(z, free, system.spec) if known == extra else None
 
 
+def _h_pair(z: np.ndarray, spec: AlphabetSpec) -> tuple[float, float]:
+    """(h(z), h(-z))."""
+    return h_value(z, spec), h_value(-z, spec)
+
+
 def _certificate(
-    z0: np.ndarray, z_min: np.ndarray, value: float, spec: AlphabetSpec, tol: float
+    z0: np.ndarray,
+    h0: tuple[float, float],
+    z_min: np.ndarray,
+    h_min: tuple[float, float] | None,
+    value: float,
+    spec: AlphabetSpec,
+    tol: float,
 ) -> TightnessCertificate:
-    """The certificate for optimum ``value``, attained at ``z_min``."""
+    """The certificate for optimum ``value``, attained at ``z_min``; ``h0``
+    is :func:`_h_pair` at ``z0``, ``h_min`` at ``z_min`` or None if not yet
+    computed."""
     verdict = "Tight" if value <= 0.5 + tol else "NotTight"
     # Prefer the minimum-norm minimizer as the witness when it already passes.
-    z_star = z0 if max(h_value(z0, spec), h_value(-z0, spec)) <= 0.5 + tol else z_min
+    if max(h0) <= 0.5 + tol:
+        z_star, (h_pos, h_neg) = z0, h0
+    else:
+        z_star, (h_pos, h_neg) = z_min, h_min if h_min is not None else _h_pair(z_min, spec)
     return TightnessCertificate(
-        verdict=verdict,
-        z_star=z_star,
-        h_pos=h_value(z_star, spec),
-        h_neg=h_value(-z_star, spec),
-        lp_value=value,
-        tol=tol,
+        verdict=verdict, z_star=z_star, h_pos=h_pos, h_neg=h_neg, lp_value=value, tol=tol
     )
 
 
@@ -277,16 +288,19 @@ def check_tightness(system: QdSystem, tol: float = TIGHT_TOL) -> TightnessCertif
         raise DegenerateY(f"P(Y=1) = {system.p_y1}; tightness test undefined")
     spec = system.spec
     z0 = system.z0
+    h0, h_min = _h_pair(z0, spec), None
     null = system.factor.null_basis()
     extra = null.shape[1] - (spec.p - 1)
     if extra <= 0:
-        # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does.
-        value, z_min = max(h_value(z0, spec), h_value(-z0, spec)), z0 + 0.0
+        # "+ 0.0" turns -0.0 into 0.0, as adding the LP's empty N c does, so
+        # h at z_min may differ from h0 in the sign of a zero.
+        value, z_min = max(h0), z0 + 0.0
     elif (z_min := _known_null_minimizer(system, extra)) is not None:
-        value = max(h_value(z_min, spec), h_value(-z_min, spec))
+        h_min = _h_pair(z_min, spec)
+        value = max(h_min)
     else:
         value, z_min = _minimize_h(z0, _without_block_shifts(null, spec), spec)
-    return _certificate(z0, z_min, value, spec, tol)
+    return _certificate(z0, h0, z_min, h_min, value, spec, tol)
 
 
 def is_additive(joint: DiscreteJoint, tol: float = TIGHT_TOL) -> AdditiveDecomposition:

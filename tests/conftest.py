@@ -38,6 +38,12 @@ def random_psd(n, seed, rank=None):
     return b @ b.T
 
 
+def legacy_is_symmetric(a):
+    """The symmetry rule :func:`maxcorr.numerics.eigh` applied before it
+    took one reduction: ``np.allclose`` with ``rtol=0`` at the same ``atol``."""
+    return np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max())), rtol=0)
+
+
 def lp_vertex_oracle(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """Exhaustive vertex enumeration for small bounded-feasible LPs.
 
@@ -152,7 +158,7 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
     z0 = system.z0
     basis = tightness._without_block_shifts(system.factor.null_basis(), spec)
     value, z_min = tightness._minimize_h(z0, basis, spec)
-    return tightness._certificate(z0, z_min, value, spec, tol)
+    return tightness._certificate(z0, tightness._h_pair(z0, spec), z_min, None, value, spec, tol)
 
 
 # ---------------------------------------------------------------------------

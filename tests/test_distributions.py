@@ -616,6 +616,49 @@ class TestValidateParity:
             report = mx.validate_marginals(marginals, tol)
             assert report == legacy_validate_marginals(marginals, tol)
 
+    @staticmethod
+    def compared_sizes(marginals):
+        """Every number the loop compares with ``tol``, computed as the loop
+        computes it: -min and |sum - 1| of each table, the largest
+        transpose gap, row-sum gap and P(Y) gap."""
+        p = marginals.spec.p
+        px, xy, xx = marginals.px, marginals.xy, marginals.xx
+        upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+        tables = [*px, *xy, *(xx[pair] for pair in upper)]
+        sizes = [-t.min() for t in tables] + [abs(t.sum() - 1.0) for t in tables]
+        sizes += [np.abs(xx[(i, j)] - xx[(j, i)].T).max() for i, j in upper]
+        sizes += [np.abs(xy[i].sum(axis=1) - px[i]).max() for i in range(p)]
+        sizes += [np.abs(xx[(i, j)].sum(axis=1) - px[i]).max() for i, j in permutations(range(p), 2)]
+        py = xy.sum(axis=1)
+        sizes += [np.abs(py[i] - py[0]).max() for i in range(1, p)]
+        return {float(size) for size in sizes}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 4),
+        m=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        breaks=st.sets(st.sampled_from(BREAKS)),
+        size=st.sampled_from([1e-11, 1e-9, 1.5e-9, 0.05]),
+    )
+    def test_matches_the_loop_at_each_boundary(self, p, m, seed, breaks, size):
+        """With ``tol`` at each compared number and one ulp either side, so
+        a reduction that rounds differently from the loop's flips a flag."""
+        marginals = broken_marginals(p, m, seed, breaks, size)
+        for boundary in self.compared_sizes(marginals):
+            for tol in (np.nextafter(boundary, -np.inf), boundary, np.nextafter(boundary, np.inf)):
+                if tol >= 0.0:
+                    assert mx.validate_marginals(marginals, tol) == legacy_validate_marginals(marginals, tol)
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 129])
+    def test_pair_indices_are_read_only(self, p):
+        pairs = distributions.upper_pairs(p)
+        for got, expected in zip(pairs, np.triu_indices(p, 1)):
+            assert not got.flags.writeable
+            assert np.array_equal(got, expected)
+            with pytest.raises(ValueError):
+                got[...] = 0
+
     def test_every_check_fires(self):
         kinds = {"negative", "sums to", "transpose", "row sums", "P(Y)"}
         found = set()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import maxcorr as mx
@@ -12,7 +14,7 @@ from maxcorr.numerics import (
     solve_lp,
 )
 
-from conftest import lp_vertex_oracle, random_psd
+from conftest import legacy_is_symmetric, lp_vertex_oracle, random_psd
 
 
 def fixture_q():
@@ -128,6 +130,47 @@ class TestNullspaceBasis:
     def test_rejects_a_non_square_matrix(self):
         with pytest.raises(NotSymmetric):
             eigh(np.ones((2, 3)))
+
+
+class TestSymmetryRule:
+    """``eigh`` refuses a matrix exactly where ``np.allclose(a, a.T,
+    atol, rtol=0)`` does, ``atol = 1e-10 max(1, max|a|)``, also with the
+    largest asymmetry on the boundary or one ulp past it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.floats(0.01, 0.99) | st.floats(1.01, 1e6),
+        factor=st.sampled_from(["half", "atol", "ulp_above", "twice"]),
+        sign=st.sampled_from([1.0, -1.0]),
+        k=st.integers(0, 2**52),
+    )
+    def test_refuses_where_allclose_does(self, n, seed, top, factor, sign, k):
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(-top, top, size=(n, n))
+        a = 0.5 * (b + b.T)
+        a[0, 0] = sign * top  # max|a|, and so atol, is set by this entry
+        atol = 1e-10 * max(1.0, top)
+        gap = {
+            "half": 0.5 * atol,
+            "atol": atol,
+            "ulp_above": np.nextafter(atol, np.inf),
+            "twice": 2.0 * atol,
+        }[factor]
+        # Both entries are multiples of spacing(gap) no larger than gap, so
+        # the difference the rule sees is gap exactly.
+        i, j = rng.choice(n, size=2, replace=False)
+        a[j, i] = -k * np.spacing(gap)
+        a[i, j] = a[j, i] + gap
+        assert np.abs(a - a.T).max() == gap
+        symmetric = legacy_is_symmetric(a)
+        assert symmetric == (factor in ("half", "atol"))
+        if symmetric:
+            eigh(a)
+        else:
+            with pytest.raises(NotSymmetric):
+                eigh(a)
 
 
 class TestEighSolve:

@@ -783,6 +783,95 @@ class TestOneFactorization:
         assert system.factor.v.tobytes() == v.tobytes()
 
 
+#: (kind, p, m, seed) of a non-additive ``degenerate_joint`` on each route,
+#: with z0 passing the default tolerance or not, and the ``h_value`` calls
+#: each certificate makes: two per point it is evaluated at.
+ROUTE_CASES = {
+    ("closed", True): (("sparse", 2, 2, 0), 2),
+    ("closed", False): (("sparse", 2, 2, 4), 4),
+    ("clip", True): (("zero_label", 2, 2, 0), 4),
+    ("clip", False): (("zero_label", 2, 3, 0), 4),
+    ("merge", True): (("copy", 2, 2, 0), 4),
+    ("merge", False): (("copy", 3, 2, 4), 4),
+    ("lp", True): (("sparse", 2, 3, 12), 2),
+    ("lp", False): (("sparse", 2, 3, 9), 4),
+}
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestCertificateHValues:
+    """The certificate evaluates h once per point: h(z0) and h(-z0), then
+    h at the route's minimizer only where that is needed.  Its h values
+    are the bits of fresh ``h_value`` calls on every route."""
+
+    @pytest.fixture
+    def h_calls(self, monkeypatch):
+        calls = []
+        real = maxcorr.tightness.h_value
+
+        def counting(z, spec):
+            calls.append(z)
+            return real(z, spec)
+
+        monkeypatch.setattr(maxcorr.tightness, "h_value", counting)
+        return calls
+
+    @staticmethod
+    def assert_fresh_h_values(system, tol):
+        """The certificate's h values and ``lp_value`` against fresh calls;
+        returns its route and whether z0 passed."""
+        spec, z0 = system.spec, system.z0
+        cert = mx.check_tightness(system, tol)
+        h0 = (mx.h_value(z0, spec), mx.h_value(-z0, spec))
+        passes = max(h0) <= 0.5 + tol
+        assert (cert.z_star is z0) == passes
+        assert float_bits(cert.h_pos) == float_bits(mx.h_value(cert.z_star, spec))
+        assert float_bits(cert.h_neg) == float_bits(mx.h_value(-cert.z_star, spec))
+        route = certificate_route(system)
+        if route == "lp":
+            assert float_bits(cert.lp_value) == float_bits(forced_lp_certificate(system, tol).lp_value)
+        else:
+            extra = system.factor.null_basis().shape[1] - (spec.p - 1)
+            z_min = z0 if route == "closed" else maxcorr.tightness._known_null_minimizer(system, extra)
+            h_min = max(mx.h_value(z_min, spec), mx.h_value(-z_min, spec))
+            assert float_bits(cert.lp_value) == float_bits(h_min)
+        return route, passes
+
+    @pytest.mark.parametrize("route, passes", list(ROUTE_CASES))
+    def test_every_route_both_witnesses(self, route, passes):
+        (kind, p, m, seed), _ = ROUTE_CASES[(route, passes)]
+        system = system_of(degenerate_joint(p, m, kind, seed, False))
+        assert self.assert_fresh_h_values(system, maxcorr.tightness.TIGHT_TOL) == (route, passes)
+
+    @pytest.mark.parametrize("route, passes", list(ROUTE_CASES))
+    def test_h_calls_per_certificate(self, route, passes, h_calls):
+        (kind, p, m, seed), count = ROUTE_CASES[(route, passes)]
+        system = system_of(degenerate_joint(p, m, kind, seed, False))
+        mx.check_tightness(system)
+        assert len(h_calls) == count
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(2, 4),
+        m=st.integers(2, 3),
+        kind=st.sampled_from(["full", "zero_label", "zero_labels", "copy", "sparse", "thin"]),
+        seed=st.integers(0, 2**32 - 1),
+        additive=st.booleans(),
+        tol=st.sampled_from([0.0, maxcorr.tightness.TIGHT_TOL, 0.3]),
+    )
+    def test_matches_fresh_calls(self, p, m, kind, seed, additive, tol):
+        if kind == "zero_labels" and p < 3:
+            kind = "zero_label"
+        if kind == "full":
+            joint = full_support_joint(p, m, seed, additive)
+        else:
+            joint = degenerate_joint(p, m, kind, seed, additive)
+        self.assert_fresh_h_values(mx.assemble_qd(mx.pairwise_from_joint(joint), check=False), tol)
+
+
 def nearly_singular_system(rel):
     """A full-support system whose smallest nonzero eigenvalue is moved to
     ``rel`` times the top one, with d kept out of that direction so that it
