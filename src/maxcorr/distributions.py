@@ -538,18 +538,12 @@ class PairwiseCounts:
 
 
 @lru_cache(maxsize=16)
-def _upper_pairs(p: int) -> tuple:
+def upper_pairs(p: int) -> tuple:
+    """``np.triu_indices(p, 1)`` as read-only arrays, built once per p."""
     pairs = np.triu_indices(p, 1)
     for index in pairs:
         index.setflags(write=False)
     return pairs
-
-
-def upper_pairs(p: int) -> tuple:
-    """``np.triu_indices(p, 1)`` as read-only arrays.  They are cached for
-    p <= 128, where the call costs more than the gather they index; larger
-    p builds them afresh rather than hold p^2 indices."""
-    return _upper_pairs(p) if p <= 128 else _upper_pairs.__wrapped__(p)
 
 
 def q_from_upper(spec: AlphabetSpec, upper, px) -> np.ndarray:

@@ -650,7 +650,7 @@ class TestValidateParity:
                 if tol >= 0.0:
                     assert mx.validate_marginals(marginals, tol) == legacy_validate_marginals(marginals, tol)
 
-    @pytest.mark.parametrize("p", [1, 2, 7, 129])
+    @pytest.mark.parametrize("p", [1, 2, 7])
     def test_pair_indices_are_read_only(self, p):
         pairs = distributions.upper_pairs(p)
         for got, expected in zip(pairs, np.triu_indices(p, 1)):

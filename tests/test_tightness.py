@@ -841,17 +841,12 @@ class TestCertificateHValues:
         return route, passes
 
     @pytest.mark.parametrize("route, passes", list(ROUTE_CASES))
-    def test_every_route_both_witnesses(self, route, passes):
-        (kind, p, m, seed), _ = ROUTE_CASES[(route, passes)]
-        system = system_of(degenerate_joint(p, m, kind, seed, False))
-        assert self.assert_fresh_h_values(system, maxcorr.tightness.TIGHT_TOL) == (route, passes)
-
-    @pytest.mark.parametrize("route, passes", list(ROUTE_CASES))
-    def test_h_calls_per_certificate(self, route, passes, h_calls):
+    def test_every_route_both_witnesses(self, route, passes, h_calls):
         (kind, p, m, seed), count = ROUTE_CASES[(route, passes)]
         system = system_of(degenerate_joint(p, m, kind, seed, False))
         mx.check_tightness(system)
         assert len(h_calls) == count
+        assert self.assert_fresh_h_values(system, maxcorr.tightness.TIGHT_TOL) == (route, passes)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
