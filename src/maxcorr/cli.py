@@ -32,6 +32,7 @@ import sys
 from . import __version__
 from .distributions import (
     AlphabetSpec,
+    epsilon,
     marginal_deviation,
     pairwise_from_joint,
 )
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--eps", type=float, required=True)
+    sub.add_argument("--eps", type=epsilon, required=True)
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_probe_uniform)

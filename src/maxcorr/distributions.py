@@ -694,15 +694,20 @@ def uniform_joint(spec: AlphabetSpec) -> DiscreteJoint:
     return DiscreteJoint(spec, prob, tol=INTERNAL_TOL)
 
 
+def epsilon(eps) -> float:
+    """``eps`` as a float, refused unless it is a finite number >= 0."""
+    if not 0.0 <= (eps := float(eps)) < np.inf:
+        raise InvalidEpsilon(f"eps must be a finite number >= 0, got {eps}")
+    return eps
+
+
 def perturb_joint(joint: DiscreteJoint, eps: float, seed) -> DiscreteJoint:
     """A valid joint within L1 distance ``eps`` of ``joint``.
 
     Adds a seeded zero-sum perturbation, rescaled (never clipped) so that no
     entry goes negative.  ``eps = 0`` returns the input unchanged.
     """
-    if eps < 0:
-        raise InvalidEpsilon(f"eps must be >= 0, got {eps}")
-    if eps == 0:
+    if (eps := epsilon(eps)) == 0:
         return joint
     rng = np.random.default_rng(seed)
     flat = joint.prob.reshape(-1)

@@ -34,7 +34,7 @@ class LabelOutOfRange(ValidationError):
 
 
 class InvalidEpsilon(ValidationError):
-    """Perturbation radius is negative."""
+    """Perturbation radius is not a finite number >= 0."""
 
 
 class AtomCapExceeded(ValidationError):

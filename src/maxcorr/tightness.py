@@ -54,6 +54,7 @@ from .distributions import (
     AlphabetSpec,
     DiscreteJoint,
     conditional_expectation,
+    epsilon,
     marginal_deviation,
     pairwise_from_joint,
     perturb_joint,
@@ -63,7 +64,6 @@ from .errors import (
     DegenerateY,
     DimensionMismatch,
     HConstraintViolated,
-    InvalidEpsilon,
     LpFailure,
     MarginalMismatch,
     NotStationary,
@@ -396,8 +396,7 @@ def near_uniform_probe(
     marginals, and runs the tightness test.  Trials are seeded independently
     so the result does not depend on evaluation order.
     """
-    if eps < 0:
-        raise InvalidEpsilon(f"eps must be >= 0, got {eps}")
+    epsilon(eps)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     base = uniform_joint(spec)

@@ -13,6 +13,7 @@ import maxcorr as mx
 import maxcorr.cli
 import maxcorr.distributions
 import maxcorr.lowerbound
+import maxcorr.tightness
 from maxcorr.cli import main
 from maxcorr.io import read_joint_csv, write_dataset_csv, write_joint_csv, write_marginals_json
 
@@ -299,6 +300,17 @@ class TestErrorContract:
         assert captured.out == ""
         assert f"argument --tol: invalid tolerance value: '{tol[6:]}'" in captured.err
         assert not os.path.exists(files["out"])
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-0.1"])
+    def test_a_radius_that_is_not_finite_and_non_negative_is_a_usage_error(self, capsys, monkeypatch, eps):
+        """Refused while the arguments are parsed, before any trial."""
+        monkeypatch.setattr(maxcorr.tightness, "uniform_joint", pytest.fail)
+        with pytest.raises(SystemExit) as info:
+            main(["probe-uniform", "--p", "2", "--m", "2", f"--eps={eps}", "--trials", "3"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --eps: invalid epsilon value: '{eps}'" in captured.err
 
     def test_unknown_flag_is_usage_error(self, capsys, files):
         with pytest.raises(SystemExit) as info:

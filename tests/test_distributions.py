@@ -778,9 +778,10 @@ class TestUniformAndPerturb:
         base = mx.uniform_joint(mx.AlphabetSpec(2, 2))
         assert mx.perturb_joint(base, eps=0.0, seed=3) is base
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(InvalidEpsilon):
-            mx.perturb_joint(mx.uniform_joint(mx.AlphabetSpec(2, 2)), eps=-0.1, seed=0)
+    @pytest.mark.parametrize("eps", [-0.1, -1e-300, float("nan"), float("inf"), -float("inf")])
+    def test_a_radius_that_is_not_finite_and_non_negative_is_rejected(self, eps):
+        with pytest.raises(InvalidEpsilon, match="eps must be a finite number >= 0"):
+            mx.perturb_joint(mx.uniform_joint(mx.AlphabetSpec(2, 2)), eps=eps, seed=0)
 
     def test_zero_atoms_never_go_negative(self):
         moved = mx.perturb_joint(mx.copy_fixture(), eps=0.2, seed=11)

@@ -342,9 +342,12 @@ class TestNearUniformProbe:
         combined = (fraction * 50 + int(fixture_tight)) / 51
         assert combined < 1.0
 
-    def test_invalid_radius(self):
-        with pytest.raises(InvalidEpsilon):
-            mx.near_uniform_probe(mx.AlphabetSpec(2, 2), eps=-1.0, trials=5, seed=0)
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_invalid_radius(self, eps, monkeypatch):
+        """Refused before any trial is run."""
+        monkeypatch.setattr(maxcorr.tightness, "uniform_joint", pytest.fail)
+        with pytest.raises(InvalidEpsilon, match="eps must be a finite number >= 0"):
+            mx.near_uniform_probe(mx.AlphabetSpec(2, 2), eps=eps, trials=5, seed=0)
 
 
 def degenerate_joint(p, m, kind, seed, additive):
