@@ -133,6 +133,8 @@ CASES = {
     # a slack that is not a finite number >= 0 is refused before any input is read
     "error_check_tight_tol_nan": ["check-tight", "--joint", "additive_2x2.csv", "--tol", "nan"],
     "error_construct_tol_inf": ["construct", "--joint", "nonadditive.csv", "--out", OUT, "--tol", "inf"],
+    # a radius that is not a finite number >= 0 is refused before any trial
+    "error_probe_uniform_eps_nan": ["probe-uniform", "--p", "2", "--m", "2", "--eps", "nan"],
 }
 
 
