@@ -432,15 +432,10 @@ def empirical_joint(data: Dataset) -> DiscreteJoint:
 
 
 def pairwise_from_dataset(data: Dataset) -> PairwiseMarginalSet:
-    """Empirical pairwise marginals of a dataset, counted from its rows at
-    every size, without the ``m^p`` joint table: the rows go to one
-    :class:`PairwiseCounts` in chunks of ``GRAM_CHUNK`` labels."""
-    spec = data.spec
-    counts = PairwiseCounts(spec)
-    rows = max(1, GRAM_CHUNK // (spec.p + 1))
-    for lo in range(0, data.n, rows):
-        chunk = data.rows[lo : lo + rows]
-        counts.add(chunk[:, : spec.p], chunk[:, spec.p])
+    """Empirical pairwise marginals of a dataset, counted from its rows by
+    one :class:`PairwiseCounts` at every size, without the ``m^p`` table."""
+    counts = PairwiseCounts(data.spec)
+    counts.add(data.rows[:, :-1], data.rows[:, -1])
     return counts.marginals()
 
 
@@ -458,11 +453,12 @@ class PairwiseCounts:
     (m-1)p)`` rows at a time, as the float32 Gram of one reused buffer that
     holds ``V'``, each label's p rows filled by one comparison with the
     labels (uint8: m <= 40 there, as pm^2 is capped); above, by one
-    ``np.bincount`` per feature and per pair.  All of it is exact: a chunk's
-    float32 entries are integers below 2^24, and every total and difference
-    an integer no larger than n.  So neither the blocks nor the route move a
-    bit of :meth:`marginals`, which divides each entry by n once.  The extra
-    memory is the counts, their expansion to ``Q`` and the buffers.
+    ``np.bincount`` per feature and per pair, ``GRAM_CHUNK // (p + 1)`` rows
+    at a time.  All of it is exact: a chunk's float32 entries are integers
+    below 2^24, and every total and difference an integer no larger than n.
+    So neither the blocks nor the route move a bit of :meth:`marginals`,
+    which divides each entry by n once.  The extra memory is the counts,
+    their expansion to ``Q`` and the buffers.
     """
 
     def __init__(self, spec: AlphabetSpec):
@@ -506,18 +502,20 @@ class PairwiseCounts:
 
     def _add_pairs(self, x: np.ndarray, y: np.ndarray):
         p, m = self.spec.p, self.spec.m
-        x, y = x.astype(np.intp), y.astype(np.intp)
         # Column 0 below row 0, the mirror of row 0, is never read.
         wy, blocks = self.gram[0, 1:].reshape(m - 1, p), self.gram[1:, 1:].reshape(m - 1, p, m - 1, p)
-        self.gram[0, 0] += y.sum()
-        for i in range(p):
-            counts = np.bincount(x[:, i] * 2 + y, minlength=2 * m)[: 2 * m - 2].reshape(m - 1, 2)
-            blocks[np.arange(m - 1), i, np.arange(m - 1), i] += counts.sum(axis=1)
-            wy[:, i] += counts[:, 1]
-        for i, j in combinations(range(p), 2):
-            counts = np.bincount(x[:, i] * m + x[:, j], minlength=m * m).reshape(m, m)[:-1, :-1]
-            blocks[:, i, :, j] += counts
-            blocks[:, j, :, i] += counts.T
+        rows = max(1, GRAM_CHUNK // (p + 1))  # bounds the intp copies
+        for lo in range(0, len(x), rows):
+            xs, ys = x[lo : lo + rows].astype(np.intp), y[lo : lo + rows].astype(np.intp)
+            self.gram[0, 0] += ys.sum()
+            for i in range(p):
+                counts = np.bincount(xs[:, i] * 2 + ys, minlength=2 * m)[: 2 * m - 2].reshape(m - 1, 2)
+                blocks[np.arange(m - 1), i, np.arange(m - 1), i] += counts.sum(axis=1)
+                wy[:, i] += counts[:, 1]
+            for i, j in combinations(range(p), 2):
+                counts = np.bincount(xs[:, i] * m + xs[:, j], minlength=m * m).reshape(m, m)[:-1, :-1]
+                blocks[:, i, :, j] += counts
+                blocks[:, j, :, i] += counts.T
 
     def _expanded(self) -> np.ndarray:
         """The ``(1 + pm)``-square Gram of all labels, from the kept counts."""

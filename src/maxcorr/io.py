@@ -20,16 +20,13 @@ decimal or exponent floats (``0.25``, ``.25``, ``2.5e-1``, ``nan``,
 ``inf``); hex floats and digit separators are rejected.  Every data row
 must have as many fields as the header.
 
-How a dataset body is parsed does not change what it may contain.  A body
-of single-digit fields, separated by ``,``, in which every row ends in the
-same ``\\n`` or ``\\r\\n`` (the last one optional) is read as a byte view
-of the file; this is what ``write_dataset_csv`` writes whenever every label
-has one digit.  :func:`read_dataset_marginals`, the ``--data`` route,
-streams such a body: it reads it once, in blocks of whole rows, hashing
-each block and counting it into the pairwise tables as it arrives.  Every
-other file, one with a ``y`` outside {0, 1} included, is read whole, and
-every body the byte view refuses goes through ``np.loadtxt``, as joint and
-generic CSVs always do.
+How a dataset body is parsed does not change what it may contain.  Both
+dataset readers read the file in blocks of whole rows through one byte view
+while its body is single-digit fields, separated by ``,``, every row ending
+in the same ``\\n`` or ``\\r\\n`` (the last one optional); this is what
+``write_dataset_csv`` writes whenever every label has one digit.  A file the
+byte view refuses, the bytes read so far and the rest, goes through
+``np.loadtxt``, the text route that joint and generic CSVs always take.
 
 Alphabet sizes are inferred from the data (max label + 1, at least 2).
 ``dumps_canonical`` renders JSON deterministically with
@@ -115,10 +112,11 @@ def _loadtxt_body(fh, path, header: list):
     return cells["labels"], cells["prob"] if with_prob else None
 
 
-def _read_csv(path, header_ok, expected: str):
-    """Header and body of a CSV file, streamed as text through
-    :func:`_loadtxt_body`."""
-    with open(path, encoding="utf-8") as fh, _decoding(path):
+def _read_csv(path, header_ok, expected: str, raw=None):
+    """Header and body of CSV file ``path``, or of its bytes ``raw`` when
+    given, streamed as text through :func:`_loadtxt_body`."""
+    fh = open(path, encoding="utf-8") if raw is None else io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    with fh, _decoding(path):
         return _loadtxt_body(fh, path, _read_header(fh, path, header_ok, expected))
 
 
@@ -142,17 +140,17 @@ def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
         return None
     total = rows + (rest > 0)
     strided = np.lib.stride_tricks.as_strided
-    digits = strided(buf, (total, ncols), (line, 2), writeable=False)
+    labels = strided(buf, (total, ncols), (line, 2), writeable=False) - ord("0")
     commas = strided(buf[1:], (total, ncols - 1), (line, 2), writeable=False)
     ends = strided(buf[last:], (rows, 1 + crlf), (line, 1), writeable=False)
     if not (
-        _all_in(digits, ord("0"), ord("9"))
+        labels.max() <= 9  # a byte below "0" wraps past 9 in uint8
         and _all_in(commas, ord(","), ord(","))
         and _all_in(ends[:, :-1], ord("\r"), ord("\r"))
         and _all_in(ends[:, -1], ord("\n"), ord("\n"))
     ):
         return None
-    return digits - ord("0")
+    return labels
 
 
 def _all_in(view: np.ndarray, lo: int, hi: int) -> bool:
@@ -195,11 +193,18 @@ def write_joint_csv(joint: DiscreteJoint, path):
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Load samples; infers p from the header and m from the labels."""
-    rows = _read_dataset_rows(path)
+    """Load samples; infers p from the header and m from the labels.  The file
+    is read once: a refused one goes to the text route as bytes in memory."""
+    raw = []
+    with open(path, "rb") as fh:
+        blocks = list(_byte_view_blocks(fh, raw.append))
+        raw = None if blocks[-1] is not None else b"".join([*raw, fh.read()])
+    rows = None if raw is not None else np.concatenate(blocks)
+    del blocks  # before the text route, or the rows' copy into the Dataset
+    if rows is None:  # the bytes go before the rows' copy
+        rows, raw = _read_csv(path, *_DATASET_HEADER, raw)[0], None
     p = rows.shape[1] - 1
-    m = max(2, 1 + int(rows[:, :p].max()))
-    return Dataset(AlphabetSpec(p, m), rows)
+    return Dataset(AlphabetSpec(p, max(2, 1 + int(rows[:, :p].max()))), rows)
 
 
 def read_dataset_marginals(path) -> tuple:
@@ -207,54 +212,26 @@ def read_dataset_marginals(path) -> tuple:
     bits of ``pairwise_from_dataset(read_dataset_csv(path))`` and of
     :func:`_digest_file`, with the same errors.
 
-    A body of single-digit fields is streamed: it is read once, in blocks of
-    whole rows of about ``GRAM_CHUNK`` bytes, and each block is hashed,
-    parsed by :func:`_parse_fixed_width` and counted into one
-    :class:`PairwiseCounts` as it arrives, so memory does not grow with the
-    number of rows.  Every other file, and every file with a fault (a body
-    the byte view refuses, a ``y`` outside {0, 1}, a header-only file), is
-    read whole by those two functions.
+    The blocks of :func:`_byte_view_blocks` are hashed and counted into one
+    :class:`PairwiseCounts` as they arrive, so memory does not grow with the
+    number of rows.  Where the byte view refuses the file, or a ``y`` outside
+    {0, 1} or a ``Q`` over its cap turns up, the counts are dropped:
+    :func:`read_dataset_csv` reads the file to the result or the error, and
+    :func:`_digest_file` hashes it.
     """
-    streamed = _stream_dataset_marginals(path)
-    if streamed is None:
-        return pairwise_from_dataset(read_dataset_csv(path)), _digest_file(path)
-    return streamed
-
-
-def _stream_dataset_marginals(path) -> tuple | None:
-    """:func:`read_dataset_marginals` on the byte view, or None when the
-    file leaves it."""
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if not head.endswith(b"\n") or b"\r" in head[:-2]:  # as _body_after_header
-            return None
-        try:
-            ncols = len(_dataset_header(io.StringIO(head.decode("utf-8")), path))
-        except (UnicodeDecodeError, ValidationError):
-            return None
-        sha.update(head)
-        first = fh.readline()
-        if not first:
-            return None
-        # Every row is as long as the first, and `probe` is the byte that
-        # tells its \n from \r\n, so it must read alike in every block.
-        size = max(1, distributions.GRAM_CHUNK // len(first)) * len(first)
-        probe = slice(2 * ncols - 1, 2 * ncols)
-        block = first + fh.read(size - len(first))
-        try:
-            counts = PairwiseCounts(AlphabetSpec(ncols - 1, 2))
-            while block:
-                sha.update(block)
-                labels = _parse_fixed_width(block, ncols)
-                if labels is None or block[probe] not in (b"", first[probe]) or labels[:, -1].max() > 1:
-                    return None
-                counts.widen(max(2, 1 + int(labels[:, :-1].max())))
-                counts.add(labels[:, :-1], labels[:, -1])
-                block = fh.read(size)
-        except ValidationError:  # the cap on Q, reported with the file's own m
-            return None
-    return counts.marginals(), "sha256:" + sha.hexdigest()
+    sha, counts = hashlib.sha256(), None
+    # A ValidationError here is the cap on Q, reported below with the file's own m.
+    with contextlib.suppress(ValidationError), open(path, "rb") as fh:
+        for labels in _byte_view_blocks(fh, sha.update):
+            if labels is None or labels[:, -1].max() > 1:
+                break
+            if counts is None:
+                counts = PairwiseCounts(AlphabetSpec(labels.shape[1] - 1, 2))
+            counts.widen(max(2, 1 + int(labels[:, :-1].max())))
+            counts.add(labels[:, :-1], labels[:, -1])
+        else:
+            return counts.marginals(), "sha256:" + sha.hexdigest()
+    return pairwise_from_dataset(read_dataset_csv(path)), _digest_file(path)
 
 
 def _digest_file(path) -> str:
@@ -267,33 +244,38 @@ def _digest_file(path) -> str:
     return "sha256:" + sha.hexdigest()
 
 
-def _dataset_header(fh, path) -> list:
-    return _read_header(fh, path, lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
+#: The header check of a dataset CSV and the header it expects.
+_DATASET_HEADER = (lambda h: len(h) >= 2 and h[-1] == "y", "x1,...,xp,y")
 
 
-def _read_dataset_rows(path) -> np.ndarray:
-    """The label rows of a dataset CSV: uint8 from the byte view, else
-    int64.  The file is read once as bytes, and its bytes are dropped before
-    the caller copies the rows into a :class:`Dataset`.  A body that
-    :func:`_parse_fixed_width` accepts is parsed in place; any other goes
-    through :func:`_loadtxt_body`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as text, _decoding(path):
-        header = _dataset_header(text, path)
-        rows = _parse_fixed_width(_body_after_header(raw), len(header))
-        if rows is None:
-            rows, _ = _loadtxt_body(text, path, header)
-    return rows
-
-
-def _body_after_header(raw: bytes) -> memoryview:
-    """The bytes after the first line of ``raw``, when that line ends in
-    ``\\n`` or ``\\r\\n`` as a text-mode read would end it, else nothing."""
-    nl = raw.find(b"\n")
-    if nl < 0 or raw.find(b"\r", 0, nl) not in (-1, nl - 1):
-        return memoryview(b"")
-    return memoryview(raw)[nl + 1 :]
+def _byte_view_blocks(fh, seen):
+    """The uint8 labels of the dataset CSV open in binary ``fh``, a block of
+    whole rows (about ``GRAM_CHUNK`` bytes) at a time, while the file stays
+    in the byte view of :func:`_parse_fixed_width`; then None, where it
+    leaves it.  ``seen`` is given the header and each block as read."""
+    head, first = fh.readline(), b""
+    seen(head)
+    # The header must end where a text-mode read ends it, in \n or \r\n.
+    with contextlib.suppress(UnicodeDecodeError, ValidationError):
+        if head.endswith(b"\n") and b"\r" not in head[:-2]:
+            ncols = len(_read_header(io.StringIO(head.decode("utf-8")), None, *_DATASET_HEADER))
+            first = fh.readline()
+    if not first:
+        yield None
+        return
+    # Every row is as long as the first, and `probe` is the byte that
+    # tells its \n from \r\n, so it must read alike in every block.
+    size = max(1, distributions.GRAM_CHUNK // len(first)) * len(first)
+    probe = slice(2 * ncols - 1, 2 * ncols)
+    block = first + fh.read(size - len(first))
+    while block:
+        seen(block)
+        labels = _parse_fixed_width(block, ncols)
+        if labels is None or block[probe] not in (b"", first[probe]):
+            yield None
+            return
+        yield labels
+        block = fh.read(size)
 
 
 def write_dataset_csv(data: Dataset, path):

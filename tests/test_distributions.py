@@ -407,6 +407,30 @@ class TestGramCounts:
         assert_same_tables(via_gram(data), legacy_pairwise_by_pair(data))
 
 
+class TestPairLoopChunks:
+    """The pair loop counts its input ``GRAM_CHUNK // (p + 1)`` rows at a
+    time; the chunks move no bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        m=st.integers(2, 6),
+        chunk=st.integers(1, 8),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_loop_across_chunks(self, p, m, chunk, n, seed):
+        rng = np.random.default_rng(seed)
+        data = mx.Dataset(
+            mx.AlphabetSpec(p, m), np.column_stack([rng.integers(0, m, size=(n, p)), rng.integers(0, 2, size=n)])
+        )
+        patches = dict(GRAM_RATIO=-1, GRAM_CHUNK=chunk * (p + 1))  # `chunk` rows each
+        with mock.patch.multiple(distributions, **patches), spy_on("add") as add, spy_on("_add_pairs") as by_pair:
+            got = mx.pairwise_from_dataset(data)
+        assert add.call_count == by_pair.call_count == 1  # the rows are passed once
+        assert_same_tables(got, legacy_pairwise_by_pair(data))
+
+
 def draw_labels(rng, n, p, m, kinds):
     """(n, p) labels in 0..m-1; feature i never takes label m-1 when
     ``kinds[i]`` is "no m-1", and never label 0 when it is "no 0"."""

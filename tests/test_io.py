@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import os
 import re
 import tracemalloc
 from unittest import mock
@@ -102,8 +101,9 @@ class TestDatasetCsv:
 
     def test_byte_view_peaks_no_higher_than_loadtxt(self, tmp_path, monkeypatch):
         """50,000 x 25 single-digit fields.  The whole read peaks no higher on
-        the byte view than on ``np.loadtxt``, and the parse holds nothing
-        beyond the file's bytes and the rows: no second copy of the body."""
+        the byte view than on ``np.loadtxt``, and the block reader holds
+        little beyond the rows' labels: no copy of the body, which is twice
+        their size."""
         rng = np.random.default_rng(0)
         rows = np.column_stack([rng.integers(0, 10, (50_000, 24)), rng.integers(0, 2, 50_000)])
         path = tmp_path / "data.csv"
@@ -117,9 +117,10 @@ class TestDatasetCsv:
             finally:
                 tracemalloc.stop()
 
-        parse_peak, parsed = peak(mio._read_dataset_rows)
-        assert np.array_equal(parsed, rows)
-        assert parse_peak < os.path.getsize(path) * 1.1 + parsed.nbytes
+        with open(path, "rb") as fh:
+            reader, blocks = peak(lambda path: list(mio._byte_view_blocks(fh, lambda raw: None)))
+        assert np.array_equal(np.concatenate(blocks), rows)
+        assert reader < rows.size + 3 * distributions.GRAM_CHUNK  # a block's bytes, read and joined
         byte_view, _ = peak(read_dataset_csv)
         monkeypatch.setattr(mio, "_parse_fixed_width", lambda body, ncols: None)
         loadtxt, _ = peak(read_dataset_csv)
@@ -536,10 +537,17 @@ def outcome(read, path):
 
 
 def assert_same_outcome(path, byte_view=False):
-    """The byte view and the ``np.loadtxt`` route read ``path`` to equal
-    rows, uint8 where the byte view takes the body and int64 elsewhere, or
-    raise the same class with the same message."""
-    got, want = outcome(mio._read_dataset_rows, path), outcome(loadtxt_rows, path)
+    """:func:`read_dataset_csv` and the ``np.loadtxt`` route read ``path``
+    to equal rows, or raise the same class with the same message.  The rows
+    handed to the Dataset are uint8 where the byte view takes the body, and
+    the text route is taken exactly where it does not."""
+    with (
+        mock.patch.object(mio, "Dataset", lambda spec, rows: rows),
+        mock.patch.object(mio, "_read_csv", wraps=mio._read_csv) as text_route,
+    ):
+        got = outcome(read_dataset_csv, path)
+    want = outcome(loadtxt_rows, path)
+    assert text_route.called != byte_view
     if isinstance(want, ValidationError):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -711,11 +719,76 @@ def test_streamed_reader_matches_the_whole_file_route(tmp_path, p, n, m, chunk, 
     rows = np.column_stack([x, rng.integers(0, 2, size=n)]).tolist()
     path = tmp_path / "data.csv"
     path.write_bytes(dataset_bytes(rows, "\r\n" if crlf else "\n", final))
-    with mock.patch.object(distributions, "GRAM_CHUNK", chunk):
-        assert mio._stream_dataset_marginals(path) is not None  # no fallback
+    with mock.patch.object(mio, "_read_csv") as text_route, mock.patch.object(mio, "_digest_file") as digest:
+        got = streamed_route(path, chunk)
+    assert not text_route.called and not digest.called  # no fallback
     want = whole_file_route(path)
-    assert_same_result(streamed_route(path, chunk), want)
+    assert_same_result(got, want)
     assert np.array_equal(want[0], legacy_pairwise_by_pair(legacy_read_dataset_csv(path)).q)
+
+
+def loadtxt_dataset(path):
+    """The dataset of :func:`loadtxt_rows`, m read off the labels."""
+    rows = loadtxt_rows(path)
+    p = rows.shape[1] - 1
+    return mx.Dataset(mx.AlphabetSpec(p, max(2, 1 + int(rows[:, :p].max()))), rows)
+
+
+#: Rows that leave the byte view but not the CSV syntax, and a y outside {0, 1}.
+ROW_FAULTS = ["two-digit label", "space", "other line end", "blank line", "y = 2"]
+
+
+@parity(200)
+@given(
+    p=st.integers(1, 5),
+    n=st.integers(2, 60),
+    chunk=st.integers(1, 96),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+    final=st.booleans(),
+    fault=st.sampled_from([None, *ROW_FAULTS]),
+)
+def test_dataset_reader_over_many_blocks_matches_the_loadtxt_route(
+    tmp_path, p, n, chunk, seed, crlf, final, fault
+):
+    """Single-digit files in blocks of 1 to 24 rows read to the rows of the
+    ``np.loadtxt`` route, with either line end, with or without the last
+    one.  A row that leaves the byte view, in whichever block, sends the
+    file to the text route; a ``y = 2`` raises the same class and message."""
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(0, 10, size=(n, p)), rng.integers(0, 2, size=n)]).tolist()
+    at = int(rng.integers(fault == "other line end", n))  # the first row sets the line end
+    lines = [",".join(map(str, row)) for row in rows]
+    end, other = ("\r\n", "\n") if crlf else ("\n", "\r\n")
+    ends = [end] * n
+    if fault == "two-digit label":
+        lines[at] = "1" + lines[at]
+    elif fault == "space":
+        lines[at] = " " + lines[at]
+    elif fault == "other line end":
+        ends[at] = other
+    elif fault == "blank line":
+        ends[at] += end
+    elif fault == "y = 2":
+        lines[at] = lines[at][:-1] + "2"
+    if not final and ends[-1] == end:
+        ends[-1] = ""
+    header = ",".join([f"x{i + 1}" for i in range(p)] + ["y"])
+    path = tmp_path / "data.csv"
+    path.write_bytes((header + end + "".join(map(str.__add__, lines, ends))).encode())
+    with (
+        mock.patch.object(distributions, "GRAM_CHUNK", chunk),
+        mock.patch.object(mio, "_read_csv", wraps=mio._read_csv) as text_route,
+    ):
+        got = outcome(read_dataset_csv, path)
+    assert text_route.called == (fault not in (None, "y = 2"))
+    want = outcome(loadtxt_dataset, path)
+    if isinstance(want, ValidationError):
+        assert fault == "y = 2"
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.spec == want.spec
+        assert np.array_equal(got.rows, want.rows)
 
 
 def test_a_later_block_that_raises_m_widens_the_counts(tmp_path):
@@ -779,17 +852,41 @@ FALLBACKS = [
     "text,late", [(t, late) for _, t, late in FALLBACKS], ids=[d for d, _, _ in FALLBACKS]
 )
 def test_files_off_the_byte_view_read_as_before(tmp_path, text, late):
-    """The streamed reader gives up, counts and all, and the whole-file route
-    gives the result, or the same class and message."""
+    """The streamed reader gives up, counts and all, and
+    :func:`read_dataset_csv` gives the whole-file result, or the same class
+    and message."""
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     add = mock.patch.object(
         distributions.PairwiseCounts, "add", autospec=True, side_effect=distributions.PairwiseCounts.add
     )
-    with add as spy, mock.patch.object(distributions, "GRAM_CHUNK", 20):  # 4 or 5 rows a block
-        assert mio._stream_dataset_marginals(path) is None
+    with add as spy, mock.patch.object(mio, "read_dataset_csv", wraps=read_dataset_csv) as fallback:
+        got = streamed_route(path, 20)  # 4 or 5 rows a block
     assert spy.called == late
-    assert_same_result(streamed_route(path, 20), whole_file_route(path))
+    assert fallback.call_count == 1
+    assert_same_result(got, whole_file_route(path))
+
+
+@pytest.mark.parametrize(
+    "text,csv_opens,marginal_opens",
+    [(dataset_bytes([[0, 1]] * 9), 1, 1), (dataset_bytes([[0, 1]] * 9 + [[10, 1]]), 1, 3)],
+    ids=["byte view", "refused in the last block"],
+)
+def test_each_reader_opens_the_file(tmp_path, text, csv_opens, marginal_opens):
+    """A file is opened and read once by :func:`read_dataset_csv`: a refused
+    one goes to the text route as the bytes read and the rest.  The
+    ``--data`` route reads a file in the byte view once; a refused one it
+    reads up to the refusing block, then by :func:`read_dataset_csv`, and
+    once more for its digest."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    for read, opens in [(read_dataset_csv, csv_opens), (mio.read_dataset_marginals, marginal_opens)]:
+        with (
+            mock.patch.object(mio, "open", wraps=open, create=True) as spy,
+            mock.patch.object(distributions, "GRAM_CHUNK", 20),
+        ):
+            read(path)
+        assert spy.call_count == opens
 
 
 @pytest.mark.parametrize("n", [10**5, 10**6])
@@ -912,7 +1009,7 @@ def test_malformed_input_raises_the_csv_route_class(tmp_path, monkeypatch, kind,
     assert type(got.value) is type(want.value) is error
     if kind == "dataset":
         with monkeypatch.context() as patch:
-            patch.setattr(mio, "_read_dataset_rows", loadtxt_rows)
+            patch.setattr(mio, "_byte_view_blocks", lambda fh, seen: iter([None]))  # the text route alone
             with pytest.raises(error) as loadtxt:
                 read(path)
         assert str(got.value) == str(loadtxt.value)
