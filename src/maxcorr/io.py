@@ -21,12 +21,12 @@ decimal or exponent floats (``0.25``, ``.25``, ``2.5e-1``, ``nan``,
 must have as many fields as the header.
 
 How a dataset body is parsed does not change what it may contain.  Both
-dataset readers read the file in blocks of whole rows through one byte view
-while its body is single-digit fields, separated by ``,``, every row ending
-in the same ``\\n`` or ``\\r\\n`` (the last one optional); this is what
-``write_dataset_csv`` writes whenever every label has one digit.  A file the
-byte view refuses, the bytes read so far and the rest, goes through
-``np.loadtxt``, the text route that joint and generic CSVs always take.
+dataset readers take the file in blocks of whole rows, each held to one row
+template, ``0,0,...,0`` and the first row's ``\\n`` or ``\\r\\n`` (the last
+one optional), while every field is one digit: what ``write_dataset_csv``
+writes whenever every label has one digit.  A file the template refuses goes
+through ``np.loadtxt``, the text route of joint and generic CSVs, from the
+bytes read: ``read_dataset_csv`` reads it once, the ``--data`` route twice.
 
 Alphabet sizes are inferred from the data (max label + 1, at least 2).
 ``dumps_canonical`` renders JSON deterministically with
@@ -124,37 +124,25 @@ def _parse_fixed_width(body, ncols: int) -> np.ndarray | None:
     """The (rows, ncols) uint8 labels of a dataset body of single-digit
     fields, or None for any other body.
 
-    Accepted: every field is one decimal digit, fields are separated by
-    ``,`` and every row ends in the same ``\\n`` or ``\\r\\n``; the last row
-    may lack it.  The body is viewed in place as (rows, 2 ncols) bytes and
-    every digit, separator and terminator byte is checked.  Anything else,
+    The body, its last line end restored if missing, is read as (rows, line)
+    bytes less one row template, ``0,0,...,0`` and the first row's ``\\n`` or
+    ``\\r\\n``: every byte must then be at most 9 on a digit column and 0
+    elsewhere (a byte below ``0`` wraps past 9 in uint8).  Anything else,
     blank lines, spaces, quotes, signs and wider fields included, is left to
     the text route.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
-    last = 2 * ncols - 1  # offset of the first row's terminator
-    crlf = last < buf.size and buf[last] == ord("\r")
-    line = last + 1 + crlf
-    rows, rest = divmod(buf.size, line)
+    last = 2 * ncols - 1  # offset of the first row's line end
+    end = b"\r\n" if last < buf.size and buf[last] == ord("\r") else b"\n"
+    template = np.frombuffer(b"0," * (ncols - 1) + b"0" + end, dtype=np.uint8)
+    rest = buf.size % template.size
     if not buf.size or rest not in (0, last):  # a partial row is the last one, unterminated
         return None
-    total = rows + (rest > 0)
-    strided = np.lib.stride_tricks.as_strided
-    labels = strided(buf, (total, ncols), (line, 2), writeable=False) - ord("0")
-    commas = strided(buf[1:], (total, ncols - 1), (line, 2), writeable=False)
-    ends = strided(buf[last:], (rows, 1 + crlf), (line, 1), writeable=False)
-    if not (
-        labels.max() <= 9  # a byte below "0" wraps past 9 in uint8
-        and _all_in(commas, ord(","), ord(","))
-        and _all_in(ends[:, :-1], ord("\r"), ord("\r"))
-        and _all_in(ends[:, -1], ord("\n"), ord("\n"))
-    ):
-        return None
-    return labels
-
-
-def _all_in(view: np.ndarray, lo: int, hi: int) -> bool:
-    return view.size == 0 or (lo <= view.min() and view.max() <= hi)
+    if rest:
+        buf = np.concatenate([buf, template[last:]])
+    cells = buf.reshape(-1, template.size) - template
+    limit = np.where(template == ord("0"), 9, 0).astype(np.uint8)  # 9 on a digit column
+    return cells[:, :last:2].copy() if (cells <= limit).all() else None
 
 
 def read_joint_csv(path) -> DiscreteJoint:
@@ -215,32 +203,38 @@ def read_dataset_marginals(path) -> tuple:
     The blocks of :func:`_byte_view_blocks` are hashed and counted into one
     :class:`PairwiseCounts` as they arrive, so memory does not grow with the
     number of rows.  Where the byte view refuses the file, or a ``y`` outside
-    {0, 1} or a ``Q`` over its cap turns up, the counts are dropped:
-    :func:`read_dataset_csv` reads the file to the result or the error, and
-    :func:`_digest_file` hashes it.
+    {0, 1} or a ``Q`` over its cap turns up, the counts are dropped, the rest
+    of the file is hashed, and :func:`read_dataset_csv` reads it a second
+    time, to the result or the error.
     """
     sha, counts = hashlib.sha256(), None
-    # A ValidationError here is the cap on Q, reported below with the file's own m.
-    with contextlib.suppress(ValidationError), open(path, "rb") as fh:
-        for labels in _byte_view_blocks(fh, sha.update):
-            if labels is None or labels[:, -1].max() > 1:
-                break
-            if counts is None:
-                counts = PairwiseCounts(AlphabetSpec(labels.shape[1] - 1, 2))
-            counts.widen(max(2, 1 + int(labels[:, :-1].max())))
-            counts.add(labels[:, :-1], labels[:, -1])
-        else:
-            return counts.marginals(), "sha256:" + sha.hexdigest()
-    return pairwise_from_dataset(read_dataset_csv(path)), _digest_file(path)
+    with open(path, "rb") as fh:
+        # A ValidationError here is the cap on Q, reported below with the file's own m.
+        with contextlib.suppress(ValidationError):
+            for labels in _byte_view_blocks(fh, sha.update):
+                if labels is None or labels[:, -1].max() > 1:
+                    break
+                if counts is None:
+                    counts = PairwiseCounts(AlphabetSpec(labels.shape[1] - 1, 2))
+                counts.widen(max(2, 1 + int(labels[:, :-1].max())))
+                counts.add(labels[:, :-1], labels[:, -1])
+            else:
+                return counts.marginals(), _digest(sha, fh)
+        digest = _digest(sha, fh)
+    return pairwise_from_dataset(read_dataset_csv(path)), digest
 
 
 def _digest_file(path) -> str:
-    """``sha256:`` and the hex SHA-256 of the bytes of file ``path``, read
-    in blocks of 1 MiB."""
-    sha = hashlib.sha256()
+    """``sha256:`` and the hex SHA-256 of the bytes of file ``path``."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(2**20), b""):
-            sha.update(block)
+        return _digest(hashlib.sha256(), fh)
+
+
+def _digest(sha, fh) -> str:
+    """``sha256:`` and the hex digest of ``sha`` once the rest of binary
+    ``fh`` is hashed into it, 1 MiB at a time."""
+    for block in iter(lambda: fh.read(2**20), b""):
+        sha.update(block)
     return "sha256:" + sha.hexdigest()
 
 
@@ -408,13 +402,7 @@ def _render(obj, out: list):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            out.append("null")
-        elif np.isinf(x):
-            raise ValidationError("cannot serialize infinity")
-        else:
-            out.append(format(x, ".17g"))
+        out.append(_render_flat([float(obj)]))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

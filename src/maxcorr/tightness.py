@@ -1,19 +1,24 @@
 """Is the separable lower bound achieved, and by which distribution?
 
-The bound rho_lb is attained by some member of the marginal class iff the
-class contains a joint whose conditional mean E[Y|X] is additive, iff some
-minimizer z of the quadratic satisfies the per-block max bounds
+A member of the marginal class attains rho_lb exactly when its conditional
+mean E[Y|X] is additive, 1/2 + z'w_x for a minimizer z of the quadratic, at
+every x it gives positive probability.  The certificate asks whether some
+minimizer satisfies the per-block max bounds
 
     h(z) <= 1/2  and  h(-z) <= 1/2,
     h(z) = sum_i max(z over block i).
 
-Those bounds are exactly what keeps 1/2 + z'w_x inside [0, 1], so a passing
-z yields the achieving joint directly:
+Those bounds keep 1/2 + z'w_x inside [0, 1] at every x of the product
+alphabet, so a passing z yields the achieving joint directly:
 
     P*(x, y=1) = (1/2 + z'w_x) Q(x),    P*(x, y=0) = (1/2 - z'w_x) Q(x)
 
 for any base Q in the class.  P* keeps the pairwise marginals, has the
-additive conditional mean 1/2 + z'w_x, and attains rho_lb.
+additive conditional mean 1/2 + z'w_x, and attains rho_lb.  So Tight proves
+the bound attained.  NotTight proves that no member whose X marginal has
+full support attains it; a member that gives some x probability 0 needs the
+bounds only on the other x, and may attain it (the golden input sparse_4x2
+has such a member, zero on one of its 16 states).
 
 The decision ranges over the FULL minimizer set {z0 + N c : c free} (z0
 the minimum-norm stationary point, N a null-space basis of Q), since the

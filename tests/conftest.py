@@ -338,6 +338,36 @@ def legacy_read_dataset_csv(path, m=None):
     return mx.Dataset(mx.AlphabetSpec(p, m), rows)
 
 
+def legacy_parse_fixed_width(body, ncols):
+    """The byte view of ``maxcorr.io._parse_fixed_width`` before it took one
+    row template: the body viewed in place through three strided views, its
+    digit, separator and line-end bytes checked by separate reductions."""
+    buf = np.frombuffer(body, dtype=np.uint8)
+    last = 2 * ncols - 1  # offset of the first row's terminator
+    crlf = last < buf.size and buf[last] == ord("\r")
+    line = last + 1 + crlf
+    rows, rest = divmod(buf.size, line)
+    if not buf.size or rest not in (0, last):  # a partial row is the last one, unterminated
+        return None
+    total = rows + (rest > 0)
+    strided = np.lib.stride_tricks.as_strided
+    labels = strided(buf, (total, ncols), (line, 2), writeable=False) - ord("0")
+    commas = strided(buf[1:], (total, ncols - 1), (line, 2), writeable=False)
+    ends = strided(buf[last:], (rows, 1 + crlf), (line, 1), writeable=False)
+
+    def all_in(view, lo, hi):
+        return view.size == 0 or (lo <= view.min() and view.max() <= hi)
+
+    if not (
+        labels.max() <= 9  # a byte below "0" wraps past 9 in uint8
+        and all_in(commas, ord(","), ord(","))
+        and all_in(ends[:, :-1], ord("\r"), ord("\r"))
+        and all_in(ends[:, -1], ord("\n"), ord("\n"))
+    ):
+        return None
+    return labels
+
+
 def legacy_read_generic_csv(path):
     cells = {}
     with open(path, newline="") as fh:

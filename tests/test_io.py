@@ -42,6 +42,7 @@ from maxcorr.io import (
 
 from conftest import (
     legacy_dumps_canonical,
+    legacy_parse_fixed_width,
     legacy_pairwise_by_pair,
     legacy_read_dataset_csv,
     legacy_read_generic_csv,
@@ -649,6 +650,51 @@ def test_byte_view_reads_nothing_past_the_body():
         assert mio._parse_fixed_width(buf[:end], 2) is None
 
 
+#: The bytes of the row template and their neighbours.
+NEAR_TEMPLATE = b"/09:+,-\t\n\x0b\x0c\r\x0e"
+
+
+@st.composite
+def template_bodies(draw):
+    """(body, ncols): 0 to 3 rows of one-digit fields with either line end,
+    the last one optional; then up to two bytes set to any value at a digit,
+    separator or line-end column, and a cut from the end.  The body is bytes
+    or a memoryview of a buffer that goes on past it."""
+    ncols, n = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    digits = st.integers(ord("0"), ord("9")).map(lambda b: bytes([b]))
+    rows = [b",".join(draw(digits) for _ in range(ncols)) for _ in range(n)]
+    body = bytearray(end.join(rows) + (end if rows and draw(st.booleans()) else b""))
+    line = 2 * ncols + len(end) - 1
+    for _ in range(draw(st.integers(0, 2)) if body else 0):
+        column = draw(
+            st.one_of(
+                st.integers(0, ncols - 1).map(lambda k: 2 * k),  # a digit
+                st.integers(1, ncols - 1).map(lambda k: 2 * k - 1) if ncols > 1 else st.nothing(),
+                st.integers(2 * ncols - 1, line - 1),  # the line end
+            )
+        )
+        at = min(draw(st.integers(0, n - 1)) * line + column, len(body) - 1)
+        body[at] = draw(st.integers(0, 255) | st.sampled_from(NEAR_TEMPLATE))
+    body = bytes(body[: len(body) - draw(st.integers(0, 3))])
+    if draw(st.booleans()):
+        body = memoryview(body + draw(st.binary(min_size=1, max_size=4)))[: len(body)]
+    return body, ncols
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(template_bodies())
+def test_row_template_matches_the_strided_checks(case):
+    """The row template accepts exactly the bodies that the three strided
+    views accepted, and reads the same labels off them."""
+    body, ncols = case
+    got, want = mio._parse_fixed_width(body, ncols), legacy_parse_fixed_width(body, ncols)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("field", ["0" * 18, "9" * 18, str(2**63 - 1), str(2**63), "9" * 19])
 def test_long_fields_match_the_loadtxt_route(tmp_path, field):
     """The byte view refuses every field wider than one digit; np.loadtxt
@@ -719,9 +765,9 @@ def test_streamed_reader_matches_the_whole_file_route(tmp_path, p, n, m, chunk, 
     rows = np.column_stack([x, rng.integers(0, 2, size=n)]).tolist()
     path = tmp_path / "data.csv"
     path.write_bytes(dataset_bytes(rows, "\r\n" if crlf else "\n", final))
-    with mock.patch.object(mio, "_read_csv") as text_route, mock.patch.object(mio, "_digest_file") as digest:
+    with mock.patch.object(mio, "_read_csv") as text_route, mock.patch.object(mio, "read_dataset_csv") as fallback:
         got = streamed_route(path, chunk)
-    assert not text_route.called and not digest.called  # no fallback
+    assert not text_route.called and not fallback.called  # no fallback
     want = whole_file_route(path)
     assert_same_result(got, want)
     assert np.array_equal(want[0], legacy_pairwise_by_pair(legacy_read_dataset_csv(path)).q)
@@ -854,7 +900,7 @@ FALLBACKS = [
 def test_files_off_the_byte_view_read_as_before(tmp_path, text, late):
     """The streamed reader gives up, counts and all, and
     :func:`read_dataset_csv` gives the whole-file result, or the same class
-    and message."""
+    and message; the digest is the whole file's."""
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     add = mock.patch.object(
@@ -869,15 +915,15 @@ def test_files_off_the_byte_view_read_as_before(tmp_path, text, late):
 
 @pytest.mark.parametrize(
     "text,csv_opens,marginal_opens",
-    [(dataset_bytes([[0, 1]] * 9), 1, 1), (dataset_bytes([[0, 1]] * 9 + [[10, 1]]), 1, 3)],
+    [(dataset_bytes([[0, 1]] * 9), 1, 1), (dataset_bytes([[0, 1]] * 9 + [[10, 1]]), 1, 2)],
     ids=["byte view", "refused in the last block"],
 )
 def test_each_reader_opens_the_file(tmp_path, text, csv_opens, marginal_opens):
     """A file is opened and read once by :func:`read_dataset_csv`: a refused
     one goes to the text route as the bytes read and the rest.  The
-    ``--data`` route reads a file in the byte view once; a refused one it
-    reads up to the refusing block, then by :func:`read_dataset_csv`, and
-    once more for its digest."""
+    ``--data`` route reads a file that fits the row template once; a refused
+    one it reads to the end for its digest, counting only up to the refusing
+    block, then once more by :func:`read_dataset_csv`."""
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     for read, opens in [(read_dataset_csv, csv_opens), (mio.read_dataset_marginals, marginal_opens)]:
