@@ -151,6 +151,12 @@ def _check_residual(system: QdSystem, z: np.ndarray):
 
 
 def _clamp_gamma(gamma: float) -> float:
+    """gamma clipped to [0, 1/4].  For every member of the class gamma =
+    E[(Y - 1/2 - z'w)^2] >= 0, so a value below -1e-10 is refused."""
+    if gamma < -1e-10:
+        raise DInconsistentWithQ(
+            f"gamma {gamma} is below 0 beyond roundoff; no distribution has these marginals"
+        )
     clipped = min(max(gamma, 0.0), 0.25)
     if abs(clipped - gamma) > 1e-10:
         logger.warning("gamma_lb %.17g clamped to %.17g", gamma, clipped)

@@ -38,6 +38,17 @@ def random_psd(n, seed, rank=None):
     return b @ b.T
 
 
+def negative_gamma_marginals():
+    """Pairwise tables that no distribution has: three uniform binary
+    features, each pair equal with probability 0.275, and every xy table
+    [[0.3, 0.2], [0.2, 0.3]].  Each table is consistent with the others,
+    but the minimum of the quadratic, gamma, is -0.05."""
+    agree = np.array([[0.1375, 0.3625], [0.3625, 0.1375]])
+    xx = {(i, j): agree for i in range(3) for j in range(3) if i != j}
+    xy = np.tile([[0.3, 0.2], [0.2, 0.3]], (3, 1, 1))
+    return mx.PairwiseMarginalSet(mx.AlphabetSpec(3, 2), xx, xy, np.full((3, 2), 0.5))
+
+
 def legacy_is_symmetric(a):
     """The symmetry rule :func:`maxcorr.numerics.eigh` applied before it
     took one reduction: ``np.allclose`` with ``rtol=0`` at the same ``atol``."""

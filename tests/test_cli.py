@@ -17,6 +17,8 @@ import maxcorr.tightness
 from maxcorr.cli import main
 from maxcorr.io import read_joint_csv, write_dataset_csv, write_joint_csv, write_marginals_json
 
+from conftest import negative_gamma_marginals
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -246,6 +248,14 @@ class TestErrorContract:
         code, _, captured = run(capsys, ["lower-bound", "--joint", files["degenerate.csv"]])
         assert code == 3
         assert "domain error" in captured.err
+
+    @pytest.mark.parametrize("command", ["lower-bound", "check-tight"])
+    def test_tables_with_a_negative_gamma_are_a_domain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "negative_gamma.json"
+        write_marginals_json(negative_gamma_marginals(), path)
+        code, result, captured = run(capsys, [command, "--marginals", str(path)])
+        assert code == 3 and result is None
+        assert captured.err.startswith("domain error: gamma -0.04999")
 
     @pytest.mark.parametrize(
         "argv",

@@ -13,10 +13,10 @@ from maxcorr.errors import (
     DInconsistentWithQ,
     InconsistentMarginals,
 )
-from maxcorr.lowerbound import QdSystem
+from maxcorr.lowerbound import QdSystem, _clamp_gamma
 from maxcorr.numerics import numerical_rank, pseudoinverse
 
-from conftest import legacy_pairwise_by_pair
+from conftest import legacy_pairwise_by_pair, negative_gamma_marginals
 
 
 def system_of(joint):
@@ -162,6 +162,23 @@ class TestGammaLowerBound:
         ):
             with pytest.raises(DInconsistentWithQ):
                 entry(system)
+
+
+class TestNegativeGamma:
+    def test_every_gamma_route_refuses_it(self):
+        """gamma = E[(Y - 1/2 - z'w)^2] >= 0 for every member of the class, so
+        tables whose minimum is -0.05 describe no distribution."""
+        system = mx.assemble_qd(negative_gamma_marginals())
+        assert 0.25 * (1.0 - 2.0 * float(system.d @ system.z0)) == pytest.approx(-0.05, abs=1e-12)
+        for entry in (mx.gamma_lb_closed, mx.rho_lb, mx.gamma_lb_iterative):
+            with pytest.raises(DInconsistentWithQ, match="below 0 beyond roundoff"):
+                entry(system)
+
+    def test_roundoff_below_zero_is_clamped(self, caplog):
+        assert _clamp_gamma(-1e-10) == 0.0
+        assert not caplog.records
+        with pytest.raises(DInconsistentWithQ):
+            _clamp_gamma(-1.1e-10)
 
 
 def legacy_gamma_lb_closed(system):
