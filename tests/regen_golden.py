@@ -118,6 +118,7 @@ CASES = {
     "error_degenerate_check_tight": ["check-tight", "--joint", "degenerate.csv"],
     "error_inconsistent": ["check-tight", "--marginals", "inconsistent.json"],
     "error_indefinite": ["lower-bound", "--marginals", "indefinite.json"],
+    "error_negative_gamma": ["lower-bound", "--marginals", "negative_gamma.json"],
     # m is read off the largest label, so Q would have (2 * 100001)^2 entries
     "error_stray_label": ["lower-bound", "--data", "stray_label.csv"],
     # nx is read off the largest label, so the table would have 2^41 cells
@@ -289,6 +290,14 @@ def write_inputs():
         mx.AlphabetSpec(3, 2), xx, np.full((3, 2, 2), 0.25), np.full((3, 2), 0.5)
     )
     write_marginals_json(triangle, INPUTS / "indefinite.json")
+    # Pairwise tables, each consistent with the others, that no distribution
+    # has: three uniform binary features, each pair equal with probability
+    # 0.275, every xy table [[0.3, 0.2], [0.2, 0.3]]; gamma is -0.05.
+    agree = np.array([[0.1375, 0.3625], [0.3625, 0.1375]])
+    xx = {(i, j): agree for i in range(3) for j in range(3) if i != j}
+    xy = np.tile([[0.3, 0.2], [0.2, 0.3]], (3, 1, 1))
+    negative = mx.PairwiseMarginalSet(mx.AlphabetSpec(3, 2), xx, xy, np.full((3, 2), 0.5))
+    write_marginals_json(negative, INPUTS / "negative_gamma.json")
 
     # The cli_small inputs, as the benchmark's set-up writes them for seed 11.
     sys.path.insert(0, str(HERE.parent / "bench"))
