@@ -12,14 +12,8 @@ during computation, 4 ``construct`` on a class without an additive member.
 
 ``oracle``, ``lower-bound`` and ``gaussian`` never load scipy.
 ``check-tight``, ``construct`` and ``probe-uniform`` import ``scipy.optimize``
-only when the tightness certificate needs its LP, that is when Q has null
-directions beyond the block shifts that neither the labels of zero
-probability nor features that are functions of others (copies, binned
-versions) explain, as a sparse support can leave; on full-support inputs,
-on inputs that merely leave some labels unused (such as datasets whose
-features have different numbers of categories) and on inputs with copied
-or binned features, they load no scipy either.  The script entry point is
-:func:`run`.
+only when the tightness certificate needs its LP (see :mod:`maxcorr.tightness`
+for when it does).  The script entry point is :func:`run`.
 """
 
 from __future__ import annotations
@@ -140,6 +134,7 @@ def cmd_lower_bound(args) -> int:
 def cmd_check_tight(args) -> int:
     marginals, digest = _load_marginals(args)
     system = assemble_qd(marginals)
+    gamma = gamma_lb_closed(system)  # refuses tables with a negative gamma before any certificate
     cert = check_tightness(system, tol=args.tol)
     results = {
         "verdict": cert.verdict,
@@ -147,7 +142,7 @@ def cmd_check_tight(args) -> int:
         "h_pos": cert.h_pos,
         "h_neg": cert.h_neg,
         "lp_value": cert.lp_value,
-        "gamma_lb": gamma_lb_closed(system),
+        "gamma_lb": gamma,
     }
     _emit(_report(args, digest, results))
     return EXIT_OK

@@ -63,6 +63,10 @@ GRAM_CHUNK = 2**18
 #: The rule takes the faster route in every cell but (12, 12), a tie that
 #: read 23/22 in another run.
 GRAM_RATIO = 8
+#: Nonzeros of the LP of :func:`feasible_member`, K + p + 1 per atom.  Peak RSS
+#: of a solve, one BLAS thread: 490 MB at (p, m) = (9, 3), 1.8M nonzeros, 2.9 s;
+#: 712 MB at (14, 2), 3.5M, 6.7 s.  That is 80 MB + 180-230 B per nonzero.
+LP_NONZERO_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ class AlphabetSpec:
         return np.stack(np.unravel_index(np.arange(self.n_states), self.shape, order="F"), axis=1)
 
     def indicator_matrix(self) -> np.ndarray:
-        """One-hot rows w_x over all states: (m^p, p*m), block i holds X_i."""
+        """One-hot rows w_x over all states, (m^p, p*m): a test oracle only."""
         return one_hot(self.states(), self.m)
 
 
@@ -585,7 +589,7 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
 
     Passing is necessary but NOT sufficient for the marginals to be realized
     by some joint distribution; exact membership in the marginal polytope is
-    only decidable by :func:`feasible_member` at dense scale.
+    only decidable by :func:`feasible_member`, under its size caps.
 
     Each check runs as one reduction per group of tables; the flags are
     joined, and messages built, only once one fires, for the flagged tables,
@@ -650,26 +654,34 @@ def validate_marginals(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -
 
 
 def feasible_member(marginals: PairwiseMarginalSet, tol: float = INPUT_TOL) -> DiscreteJoint:
-    """Some joint distribution realizing the marginals, via a feasibility LP
-    over all atoms (dense cap applies).
-
-    Raises :class:`InconsistentMarginals` when the class is empty.
-    """
+    """Some joint distribution realizing the marginals, by a feasibility LP
+    over all atoms whose rows are gathered from each state's labels into a
+    ``scipy.sparse`` matrix.  Raises :class:`InconsistentMarginals` when the
+    class is empty, and :class:`AtomCapExceeded` before building anything
+    above the dense cap or ``LP_NONZERO_CAP`` nonzeros (a solve of about 1 GB)."""
     spec = marginals.spec
     spec.require_dense()
+    p, m, n_states = spec.p, spec.m, spec.n_states
+    per_atom = p * (p - 1) // 2 + p + 1
+    if spec.n_atoms * per_atom > LP_NONZERO_CAP:
+        raise AtomCapExceeded(f"{spec.n_atoms * per_atom} LP nonzeros exceed the cap {LP_NONZERO_CAP}")
     report = validate_marginals(marginals, tol=tol)
     if not report.ok:
         raise InconsistentMarginals("; ".join(report.violations))
 
-    # Equality rows: each entry of xx[(i, j)], i < j (both atoms of a state),
-    # each entry of xy[i] (one atom), and the total mass (the last row).
-    p, m, n_states = spec.p, spec.m, spec.n_states
-    w = spec.indicator_matrix().reshape(n_states, p, m)
+    from scipy.sparse import csc_matrix
+
+    # Atom 2s + y enters row k*m^2 + x_i*m + x_j of each pair k = (i, j), i < j,
+    # row K*m^2 + 2(i*m + x_i) + y of each xy[i], and the last row, the total mass.
+    x = spec.states()
     i, j = upper_pairs(p)
-    pairs = (w[:, i, :, None] * w[:, j, None, :]).reshape(n_states, -1).T
-    a_eq = np.ones((len(pairs) + 2 * p * m + 1, spec.n_atoms))
-    a_eq[: len(pairs), 0::2] = a_eq[: len(pairs), 1::2] = pairs
-    a_eq[len(pairs) : -1] = np.kron(w.reshape(n_states, -1).T, np.eye(2))
+    first_xy, total = len(i) * m * m, len(i) * m * m + 2 * p * m
+    rows = np.empty((n_states, 2, per_atom), dtype=np.int32)  # of atom 2s + y, ascending
+    rows[:, :, : len(i)] = (np.arange(len(i)) * m * m + x[:, i] * m + x[:, j])[:, None]
+    rows[:, :, len(i) : -1] = first_xy + 2 * (np.arange(p) * m + x)[:, None] + np.arange(2)[:, None]
+    rows[:, :, -1] = total
+    columns = np.arange(0, rows.size + 1, per_atom, dtype=np.int32)
+    a_eq = csc_matrix((np.ones(rows.size), rows.reshape(-1), columns), shape=(total + 1, spec.n_atoms))
     upper = marginals.q.reshape(p, m, p, m)[i, :, j]
     b_eq = np.concatenate([upper.reshape(-1), marginals.xy.reshape(-1), [1.0]])
     status, point, _ = solve_lp(np.zeros(spec.n_atoms), a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
@@ -714,11 +726,8 @@ def perturb_joint(joint: DiscreteJoint, eps: float, seed) -> DiscreteJoint:
     l1 = np.abs(v).sum()
     if l1 == 0:
         return joint
-    scale = eps / l1
-    neg = v < 0
-    if np.any(neg):
-        headroom = flat[neg] / -v[neg]
-        scale = min(scale, float(headroom.min()))
+    neg = v < 0  # the entries' headroom caps the scale
+    scale = min(eps / l1, float((flat[neg] / -v[neg]).min(initial=np.inf)))
     perturbed = np.maximum(flat + scale * v, 0.0)
     return DiscreteJoint(joint.spec, perturbed.reshape(joint.prob.shape), tol=INTERNAL_TOL)
 

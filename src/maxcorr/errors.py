@@ -38,7 +38,7 @@ class InvalidEpsilon(ValidationError):
 
 
 class AtomCapExceeded(ValidationError):
-    """A dense array over its cap: a joint table over ``ATOM_CAP`` cells, or Q over ``Q_CAP``."""
+    """Over a cap: ``ATOM_CAP`` atoms, ``Q_CAP`` entries of Q or ``LP_NONZERO_CAP`` LP nonzeros."""
 
 
 class InconsistentMarginals(ValidationError):

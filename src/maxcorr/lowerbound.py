@@ -127,8 +127,7 @@ def assemble_qd(marginals: PairwiseMarginalSet, check: bool = True) -> QdSystem:
             raise InconsistentMarginals("; ".join(report.violations))
 
     spec = marginals.spec
-    pm = spec.pm
-    d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(pm)
+    d = (marginals.xy[:, :, 1] - marginals.xy[:, :, 0]).reshape(-1)
     system = QdSystem(spec, marginals.q, d, float(marginals.p_y[1]))
     if check:
         min_eig = float(system.factor.w[0])

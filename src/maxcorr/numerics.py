@@ -36,17 +36,12 @@ def _above_cut(mag: np.ndarray) -> np.ndarray:
     return mag > RANK_TOL * mag.max(initial=0.0)
 
 
-def numerical_rank(s: np.ndarray) -> int:
-    """Count of singular values above ``RANK_TOL * s_max``."""
-    return int(np.count_nonzero(_above_cut(np.asarray(s, dtype=float))))
-
-
 def pseudoinverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse, truncating at ``RANK_TOL`` of the top singular value."""
     a = np.asarray(a, dtype=float)
     _require_finite(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    r = numerical_rank(s)
+    r = int(np.count_nonzero(_above_cut(s)))
     if r == 0:
         return np.zeros((a.shape[1], a.shape[0]))
     inv = np.zeros_like(s)
@@ -59,7 +54,7 @@ class SymmetricEigen:
     """Eigendecomposition ``A = V diag(w) V'`` of a symmetric matrix, w ascending.
 
     An eigenvalue counts as nonzero when ``|w| > RANK_TOL * max|w|``, the
-    cut :func:`numerical_rank` makes on the singular values ``|w|``.
+    cut :func:`pseudoinverse` makes on the singular values ``|w|``.
     """
 
     w: np.ndarray

@@ -61,6 +61,7 @@ from .distributions import (
     conditional_expectation,
     epsilon,
     marginal_deviation,
+    one_hot,
     pairwise_from_joint,
     perturb_joint,
     uniform_joint,
@@ -322,7 +323,8 @@ def is_additive(joint: DiscreteJoint, tol: float = TIGHT_TOL) -> AdditiveDecompo
     spec = joint.spec
     cond = conditional_expectation(joint)
     support = cond.support
-    w = spec.indicator_matrix()[support]
+    states = np.unravel_index(np.flatnonzero(support), spec.shape, order="F")
+    w = one_hot(np.stack(states, axis=1), spec.m)
     e = cond.values[support]
     weights = np.sqrt(joint.px[support])
     coef, *_ = np.linalg.lstsq(w * weights[:, None], e * weights, rcond=None)
@@ -363,8 +365,7 @@ def construct_additive(
     if resid > 1e-8:
         raise NotStationary(f"||2Qz - d|| = {resid:.3e}; z_star does not minimize the quadratic")
 
-    hp = h_value(z_star, spec)
-    hn = h_value(-z_star, spec)
+    hp, hn = _h_pair(z_star, spec)
     if hp > 0.5 + tol or hn > 0.5 + tol:
         raise HConstraintViolated(
             f"h(z) = {hp:.12f}, h(-z) = {hn:.12f} exceed 1/2; the construction "

@@ -10,8 +10,15 @@ from scipy.optimize import linprog
 
 import maxcorr as mx
 from maxcorr import tightness
-from maxcorr.distributions import INPUT_TOL, q_from_upper
-from maxcorr.errors import DuplicateEntry, LabelOutOfRange, NegativeProbability, ValidationError
+from maxcorr.distributions import INPUT_TOL, INTERNAL_TOL, q_from_upper, upper_pairs
+from maxcorr.errors import (
+    DuplicateEntry,
+    InconsistentMarginals,
+    LabelOutOfRange,
+    NegativeProbability,
+    ValidationError,
+)
+from maxcorr.numerics import RANK_TOL, solve_lp
 from maxcorr.tightness import TIGHT_TOL
 
 
@@ -47,6 +54,22 @@ def negative_gamma_marginals():
     xx = {(i, j): agree for i in range(3) for j in range(3) if i != j}
     xy = np.tile([[0.3, 0.2], [0.2, 0.3]], (3, 1, 1))
     return mx.PairwiseMarginalSet(mx.AlphabetSpec(3, 2), xx, xy, np.full((3, 2), 0.5))
+
+
+def independent_y_marginals():
+    """The feature tables of :func:`negative_gamma_marginals` with every xy
+    entry 0.25 (Y independent of each feature).  No distribution has them
+    either, as the three features alone break the triangle inequality, but
+    gamma is 1/4 and every local check passes."""
+    negative = negative_gamma_marginals()
+    return mx.PairwiseMarginalSet(negative.spec, dict(negative.xx), np.full((3, 2, 2), 0.25), negative.px)
+
+
+def svd_rank(a):
+    """Count of singular values of ``a`` above ``RANK_TOL`` times the largest:
+    the SVD form of the library's one rank cut."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * s.max(initial=0.0)))
 
 
 def legacy_is_symmetric(a):
@@ -170,6 +193,35 @@ def forced_lp_certificate(system, tol=TIGHT_TOL):
     basis = tightness._without_block_shifts(system.factor.null_basis(), spec)
     value, z_min = tightness._minimize_h(z0, basis, spec)
     return tightness._certificate(z0, tightness._h_pair(z0, spec), z_min, None, value, spec, tol)
+
+
+def legacy_feasible_member(marginals, tol=INPUT_TOL):
+    """:func:`maxcorr.feasible_member` with its equality rows built densely:
+    the one-hot indicator of every state, its pair products and a Kronecker
+    block.  The parity oracle of the gathered sparse rows."""
+    spec = marginals.spec
+    spec.require_dense()
+    report = mx.validate_marginals(marginals, tol=tol)
+    if not report.ok:
+        raise InconsistentMarginals("; ".join(report.violations))
+
+    # Equality rows: each entry of xx[(i, j)], i < j (both atoms of a state),
+    # each entry of xy[i] (one atom), and the total mass (the last row).
+    p, m, n_states = spec.p, spec.m, spec.n_states
+    w = spec.indicator_matrix().reshape(n_states, p, m)
+    i, j = upper_pairs(p)
+    pairs = (w[:, i, :, None] * w[:, j, None, :]).reshape(n_states, -1).T
+    a_eq = np.ones((len(pairs) + 2 * p * m + 1, spec.n_atoms))
+    a_eq[: len(pairs), 0::2] = a_eq[: len(pairs), 1::2] = pairs
+    a_eq[len(pairs) : -1] = np.kron(w.reshape(n_states, -1).T, np.eye(2))
+    upper = marginals.q.reshape(p, m, p, m)[i, :, j]
+    b_eq = np.concatenate([upper.reshape(-1), marginals.xy.reshape(-1), [1.0]])
+    status, point, _ = solve_lp(np.zeros(spec.n_atoms), a_eq=a_eq, b_eq=b_eq, bounds=(0.0, None))
+    if status != "Optimal":
+        raise InconsistentMarginals(f"no joint realizes these marginals (LP status: {status})")
+    prob = np.maximum(point, 0.0).reshape(n_states, 2)
+    prob /= prob.sum()
+    return mx.DiscreteJoint(spec, prob, tol=INTERNAL_TOL)
 
 
 # ---------------------------------------------------------------------------

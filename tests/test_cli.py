@@ -5,6 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ import maxcorr.distributions
 import maxcorr.lowerbound
 import maxcorr.tightness
 from maxcorr.cli import main
-from maxcorr.io import read_joint_csv, write_dataset_csv, write_joint_csv, write_marginals_json
+from maxcorr.io import (
+    read_joint_csv,
+    read_marginals_json,
+    write_dataset_csv,
+    write_joint_csv,
+    write_marginals_json,
+)
 
 from conftest import negative_gamma_marginals
 
@@ -257,6 +264,15 @@ class TestErrorContract:
         assert code == 3 and result is None
         assert captured.err.startswith("domain error: gamma -0.04999")
 
+    def test_check_tight_refuses_a_negative_gamma_before_it_certifies(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "negative_gamma.json"
+        write_marginals_json(negative_gamma_marginals(), path)
+        spy = mock.Mock(wraps=maxcorr.cli.check_tightness)
+        monkeypatch.setattr(maxcorr.cli, "check_tightness", spy)
+        code, _, captured = run(capsys, ["check-tight", "--marginals", str(path)])
+        assert code == 3 and captured.err.startswith("domain error: gamma -0.04999")
+        assert spy.call_count == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -366,6 +382,25 @@ class TestValidateOnce:
             code, report, captured = run(capsys, [command, "--marginals", str(path)])
             assert code == 2 and report is None
             assert captured.err.startswith("input error: px[0]: sums to 2.000000000000, not 1; ")
+
+
+def test_no_library_path_builds_the_indicator_matrix(capsys, tmp_path, monkeypatch):
+    """feasible_member, is_additive and the construct subcommand gather their
+    one-hot rows; only tests call ``AlphabetSpec.indicator_matrix``."""
+    golden = Path(__file__).parent / "data" / "golden"
+    monkeypatch.setattr(
+        mx.AlphabetSpec, "indicator_matrix", mock.Mock(side_effect=AssertionError("indicator_matrix"))
+    )
+    marginals = read_marginals_json(golden / "inputs" / "random_3x2.json")
+    assert mx.marginal_deviation(mx.pairwise_from_joint(mx.feasible_member(marginals)), marginals) <= 1e-9
+    assert mx.is_additive(read_joint_csv(golden / "inputs" / "additive_2x2.csv")).additive
+
+    record = json.loads((golden / "records" / "cli_small_construct.json").read_text())
+    (tmp_path / "cli_additive.csv").write_bytes((golden / "inputs" / "cli_additive.csv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(record["argv"]) == record["code"]
+    assert capsys.readouterr().out == record["stdout"]
+    assert (tmp_path / "out.csv").read_bytes().decode() == record["out"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,6 +15,7 @@ from maxcorr.distributions import (
     ATOM_CAP,
     GRAM_CHUNK,
     GRAM_RATIO,
+    LP_NONZERO_CAP,
     Q_CAP,
     empirical_joint,
 )
@@ -31,12 +32,15 @@ from maxcorr.errors import (
 from maxcorr.numerics import eigh, solve_lp
 
 from conftest import (
+    independent_y_marginals,
+    legacy_feasible_member,
     legacy_one_hot,
     legacy_pairwise_by_pair,
     legacy_permute_prob,
     legacy_sample_rows,
     legacy_states,
     legacy_validate_marginals,
+    negative_gamma_marginals,
 )
 
 
@@ -863,6 +867,57 @@ class TestSingletonClass:
             assert -neg_high == pytest.approx(expected, abs=1e-9)
 
 
+def uniform_marginals(spec):
+    """The marginals of the uniform joint, from their formulas: no m^p table."""
+    p, m = spec.p, spec.m
+    xx = {(i, j): np.full((m, m), 1.0 / m**2) for i, j in permutations(range(p), 2)}
+    return mx.PairwiseMarginalSet(spec, xx, np.full((p, m, 2), 0.5 / m), np.full((p, m), 1.0 / m))
+
+
+@st.composite
+def marginal_classes(draw):
+    """(kind, marginals): the marginals of a random joint of full support
+    ("full", "additive") or of one with most atoms zeroed ("sparse"), or an
+    empty class ("empty") that passes every local check."""
+    kind = draw(st.sampled_from(["full", "additive", "sparse", "empty"]))
+    spec = mx.AlphabetSpec(draw(st.integers(2 if kind == "empty" else 1, 4)), draw(st.integers(2, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "empty":
+        return kind, contradictory_marginals(spec, np.random.default_rng(seed))
+    joint = (mx.additive_fixture if kind == "additive" else mx.random_joint)(spec, seed)
+    if kind == "sparse":
+        rng = np.random.default_rng(seed)
+        keep = rng.random(spec.n_atoms) < draw(st.floats(0.05, 0.6))
+        keep[rng.integers(spec.n_atoms)] = True
+        prob = joint.prob.reshape(-1) * keep
+        joint = mx.DiscreteJoint(spec, (prob / prob.sum()).reshape(-1, 2), tol=1e-12)
+    return kind, mx.pairwise_from_joint(joint)
+
+
+def contradictory_marginals(spec, rng):
+    """Uniform features with X_b = pi(X_a), Y = g(X_a) and Y = h(X_b) for a
+    binary g that is not constant and an h that differs from g o pi^-1 in two
+    labels; every other pair and table independent.  Each table is locally
+    consistent, but no joint has them."""
+    p, m = spec.p, spec.m
+    a, b = rng.choice(p, size=2, replace=False)
+    pi = rng.permutation(m)
+    g = np.zeros(m)
+    g[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = 1.0
+    h = np.empty(m)
+    h[pi] = g
+    zero, one = rng.choice(np.flatnonzero(h == 0)), rng.choice(np.flatnonzero(h == 1))
+    h[zero], h[one] = 1.0, 0.0
+    xx = {(i, j): np.full((m, m), 1.0 / m**2) for i, j in permutations(range(p), 2)}
+    xx[(a, b)] = np.eye(m)[pi] / m  # row x has its mass at column pi[x]
+    xx[(b, a)] = xx[(a, b)].T
+    p_y1 = g.sum() / m
+    xy = np.tile([(1.0 - p_y1) / m, p_y1 / m], (p, m, 1))
+    xy[a] = np.column_stack([1.0 - g, g]) / m
+    xy[b] = np.column_stack([1.0 - h, h]) / m
+    return mx.PairwiseMarginalSet(spec, xx, xy, np.full((p, m), 1.0 / m))
+
+
 class TestFeasibleMember:
     def test_singleton_class_returns_the_fixture(self):
         joint = mx.nonadditive_fixture()
@@ -883,6 +938,69 @@ class TestFeasibleMember:
         assert mx.validate_marginals(infeasible).ok  # passes every local screen
         with pytest.raises(InconsistentMarginals):
             mx.feasible_member(infeasible)
+
+    @pytest.mark.parametrize("tables", [negative_gamma_marginals, independent_y_marginals])
+    def test_refuses_both_triangle_violations(self, tables):
+        """Three uniform binary features, each pair equal with probability
+        0.275: a correlation of -0.45, inside the PSD limit but outside the
+        triangle inequality.  No Y makes them realizable."""
+        marginals = tables()
+        assert mx.validate_marginals(marginals).ok
+        with pytest.raises(InconsistentMarginals, match=r"\(LP status: Infeasible\)$"):
+            mx.feasible_member(marginals)
+
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    @given(case=marginal_classes())
+    def test_matches_the_dense_builder_bit_for_bit(self, case):
+        kind, marginals = case
+        event(kind)
+        try:
+            want = legacy_feasible_member(marginals)
+        except InconsistentMarginals as exc:
+            assert kind == "empty"
+            with pytest.raises(InconsistentMarginals) as got:
+                mx.feasible_member(marginals)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert kind != "empty"
+            assert np.array_equal(mx.feasible_member(marginals).prob, want.prob)
+
+    def test_refuses_an_lp_over_the_nonzero_cap_before_building_it(self, monkeypatch):
+        # p=15, m=2: 2^16 atoms, under the dense cap, 121 nonzeros each.
+        spec = mx.AlphabetSpec(15, 2)
+        assert spec.n_atoms <= ATOM_CAP and spec.n_atoms * 121 > LP_NONZERO_CAP
+        marginals = uniform_marginals(spec)
+        for stage in ("validate_marginals", "solve_lp"):
+            monkeypatch.setattr(distributions, stage, mock.Mock(side_effect=AssertionError(stage)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(AtomCapExceeded, match=f"^{spec.n_atoms * 121} LP nonzeros exceed the cap"):
+                mx.feasible_member(marginals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_the_nonzero_cap_is_inclusive(self, monkeypatch):
+        spec = mx.AlphabetSpec(3, 2)  # 16 atoms, 3 pairs: 7 nonzeros each
+        marginals = uniform_marginals(spec)
+        monkeypatch.setattr(distributions, "LP_NONZERO_CAP", 16 * 7)
+        assert np.array_equal(mx.feasible_member(marginals).prob, legacy_feasible_member(marginals).prob)
+        monkeypatch.setattr(distributions, "LP_NONZERO_CAP", 16 * 7 - 1)
+        with pytest.raises(AtomCapExceeded):
+            mx.feasible_member(marginals)
+
+    def test_peak_memory_at_p8_m3(self):
+        """6561 states: the dense rows took 120 MiB under tracemalloc."""
+        mx.feasible_member(uniform_marginals(mx.AlphabetSpec(2, 2)))  # scipy's imports, off the count
+        marginals = mx.pairwise_from_joint(mx.random_joint(mx.AlphabetSpec(8, 3), seed=0))
+        tracemalloc.start()
+        try:
+            mx.feasible_member(marginals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
 
 def build_each_array_dataclass():

@@ -9,7 +9,6 @@ from maxcorr.errors import NonFinite, NotSymmetric
 from maxcorr.numerics import (
     cg_minimum_norm,
     eigh,
-    numerical_rank,
     pseudoinverse,
     solve_lp,
 )
@@ -286,7 +285,7 @@ class TestSolveLp:
         assert np.array_equal(first[1], second[1])
 
 
-class TestNumericalRank:
-    def test_rank_counts_above_relative_cutoff(self):
-        assert numerical_rank(np.array([1.0, 1e-5, 1e-12])) == 2
-        assert numerical_rank(np.array([0.0, 0.0])) == 0
+class TestRankCut:
+    def test_pseudoinverse_keeps_singular_values_above_relative_cutoff(self):
+        assert_allclose(pseudoinverse(np.diag([1.0, 1e-5, 1e-12])), np.diag([1.0, 1e5, 0.0]), rtol=1e-15)
+        assert np.array_equal(pseudoinverse(np.zeros((2, 3))), np.zeros((3, 2)))

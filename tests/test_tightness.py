@@ -19,12 +19,11 @@ from maxcorr.errors import (
 )
 
 from maxcorr.io import read_marginals_json
-from maxcorr.numerics import numerical_rank
 
 import maxcorr.lowerbound
 import maxcorr.numerics
 import maxcorr.tightness
-from conftest import forced_lp_certificate, pinned_tightness_lp, quadratic_grid_oracle
+from conftest import forced_lp_certificate, pinned_tightness_lp, quadratic_grid_oracle, svd_rank
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -907,12 +906,11 @@ class TestNearlySingularQ:
 
 class TestRankParity:
     """The eigenvalue cut |w| > RANK_TOL * max|w| decides the same rank as
-    the SVD cut of :func:`numerical_rank` on the singular values of Q."""
+    the SVD cut on the singular values of Q (``conftest.svd_rank``)."""
 
     @staticmethod
     def assert_same_rank(system):
-        svd_rank = numerical_rank(np.linalg.svd(system.q, compute_uv=False))
-        assert int(system.factor.kept().sum()) == svd_rank
+        assert int(system.factor.kept().sum()) == svd_rank(system.q)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
